@@ -252,8 +252,8 @@ def cmd_summary(args) -> int:
     return 0
 
 
-#: Tables whose experiments can share one prefetch fan-out (and one job
-#: graph): the keyword batch each contributes to
+#: Tables whose experiments can share one job graph: the keyword batch
+#: each contributes to
 #: :func:`repro.experiments.common.prefetch_experiment_batches`.
 _BATCHABLE_TABLES = {
     "table2": {"same_input": True},
@@ -323,9 +323,8 @@ def cmd_tables(args) -> int:
     ]
     try:
         if len(batches) > 1 and args.jobs > 1:
-            # Requested tables that share experiments run as one
-            # combined fan-out — on the scheduler path, one job graph
-            # whose common training stages execute exactly once.
+            # Requested tables that share experiments run as one job
+            # graph whose common training stages execute exactly once.
             from .experiments.common import prefetch_experiment_batches
 
             prefetch_experiment_batches(batches, jobs=args.jobs)
@@ -1034,8 +1033,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--dag", action="store_true",
-        help="benchmark job-graph scheduling against the coarse fan-out "
-             "(cold + warm) and write BENCH_dag.json",
+        help="benchmark job-graph scheduling (cold + warm) and write "
+             "BENCH_dag.json",
     )
     p_bench.add_argument(
         "--trace-scale", action="store_true",

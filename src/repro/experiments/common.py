@@ -24,7 +24,9 @@ workload run entirely on a warm hit — and every freshly computed stage
 is persisted for the next run.
 
 :func:`prefetch_experiments` fills the result cache for many programs at
-once across worker processes (:mod:`repro.runtime.parallel`); the
+once: with ``jobs > 1`` the missing entries are planned as one job graph
+and run by :func:`repro.sched.executor.run_experiments_dag` (pooled
+under a private temporary store when no store is installed); the
 per-program getters then hit the cache.  :func:`set_parallel_jobs` and
 :func:`set_engine` configure the default fan-out width and simulation
 engine for the whole harness (the ``repro tables --jobs`` /
@@ -48,7 +50,7 @@ from ..runtime.driver import (
 )
 from ..runtime import parallel
 from ..runtime.faults import ShardFailedError, TaskFailure
-from ..runtime.parallel import ExperimentSpec, run_experiments
+from ..runtime.parallel import ExperimentSpec
 from ..runtime.resolvers import NaturalResolver, RandomResolver
 from ..store import current_store
 from ..store import stages as store_stages
@@ -295,10 +297,11 @@ def prefetch_experiments(
     """Fill the experiment cache for many programs across processes.
 
     Runs every program whose :func:`cached_experiment` entry is missing
-    through :func:`repro.runtime.parallel.run_experiments` with ``jobs``
-    workers (default: :func:`parallel_jobs`) and merges the results into
-    the memo cache.  With one job or at most one missing program this is
-    a no-op — the per-program getters compute inline as before.
+    through :func:`repro.sched.executor.run_experiments_dag` with
+    ``jobs`` workers (default: :func:`parallel_jobs`) and merges the
+    results into the memo cache.  With one job, at most one missing
+    program, or the scalar engine this is a no-op — the per-program
+    getters compute inline.
 
     Under a best-effort retry policy a shard that exhausts its retries
     comes back as a ``None`` hole; the shard is recorded as *failed* so
@@ -322,29 +325,13 @@ def prefetch_experiments(
     )
 
 
-def _use_dag_scheduler(jobs: int) -> bool:
-    """Whether the fan-out should run through the job-graph scheduler.
-
-    The DAG path needs the artifact store (stage jobs hand artifacts
-    across the process boundary through it) and the batched engine
-    (stage jobs are trace-derived); anything else stays on the coarse
-    per-spec fan-out.
-    """
-    if jobs <= 1 or _engine == "scalar" or current_store() is None:
-        return False
-    from ..sched.executor import scheduler_enabled
-
-    return scheduler_enabled()
-
-
 def prefetch_experiment_batches(batches: list[dict], jobs: int | None = None) -> None:
     """Fill the experiment cache for several spec batches at once.
 
     Each batch is the keyword form of :func:`prefetch_experiments`'s
-    signature (``programs`` plus flags).  Batches share one fan-out —
-    and, on the scheduler path, one job graph — so e.g. Table 2 and
-    Table 4 requested together collapse their common training stages
-    before anything runs.
+    signature (``programs`` plus flags).  Batches share one job graph,
+    so e.g. Table 2 and Table 4 requested together collapse their
+    common training stages before anything runs.
     """
     jobs = _parallel_jobs if jobs is None else jobs
     entries: list[tuple[tuple, ExperimentSpec]] = []
@@ -372,19 +359,16 @@ def prefetch_experiment_batches(batches: list[dict], jobs: int | None = None) ->
                         classify=classify,
                         track_pages=track_pages,
                         cache_config=config,
-                        engine=_engine,
                     ),
                 )
             )
-    if jobs <= 1 or len(entries) <= 1:
+    # Graph jobs are trace-derived: the scalar engine computes inline.
+    if jobs <= 1 or len(entries) <= 1 or _engine == "scalar":
         return
-    specs = [spec for _key, spec in entries]
-    if _use_dag_scheduler(jobs):
-        from ..sched.executor import run_experiments_dag
+    from ..sched.executor import run_experiments_dag
 
-        results, _graph, _summary = run_experiments_dag(specs, jobs=jobs)
-    else:
-        results = run_experiments(specs, jobs=jobs)
+    specs = [spec for _key, spec in entries]
+    results, _graph, _summary = run_experiments_dag(specs, jobs=jobs)
     report = parallel.last_fanout_report()
     failures = (
         {failure.label: failure for failure in report.failures}

@@ -391,24 +391,20 @@ def run_dag_bench(
     programs: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, object]:
-    """Benchmark job-graph scheduling against the coarse per-spec fan-out.
+    """Benchmark job-graph scheduling cold and warm.
 
-    Three arms over the Table 2 + Table 4 pipeline at the same worker
-    count, each from a cleared in-process memo:
+    Two arms over the Table 2 + Table 4 pipeline at the same worker
+    count, each from a cleared in-process memo and over one store:
 
-    * **legacy-cold** — scheduler disabled, fresh store: the pre-DAG
-      path (each table prefetches its own coarse per-spec fan-out, the
-      second table re-probing what the first persisted).
-    * **dag-cold** — scheduler enabled, fresh store: both tables
-      planned as one job graph, shared training stages deduplicated
-      before execution, stage jobs dispatched longest-estimated-first.
-    * **dag-warm** — the dag arm rerun over its own store: the probe
-      pass must prune every stage job (``executed == 0``).
+    * **dag-cold** — fresh store: both tables planned as one job graph,
+      shared training stages deduplicated before execution, stage jobs
+      dispatched longest-estimated-first.
+    * **dag-warm** — rerun over the cold arm's store: the probe pass
+      must prune every stage job (``executed == 0``).
 
-    All three arms must render byte-identical tables.  The headline
-    ``speedup`` is legacy-cold over dag-cold wall-clock; the dag arms'
-    scheduler summaries and the per-kind mean job seconds (the cost
-    priors' feedback history) are included in the JSON.
+    Both arms must render byte-identical tables.  Their scheduler
+    summaries and the per-kind mean job seconds (the cost priors'
+    feedback history) are included in the JSON.
     """
     import shutil
     import tempfile
@@ -420,7 +416,7 @@ def run_dag_bench(
         prefetch_experiment_batches,
         set_parallel_jobs,
     )
-    from ..sched.executor import _effective_cpus, last_summary, set_scheduler
+    from ..sched.executor import _effective_cpus, last_summary
     from ..store import ArtifactStore, use_store
 
     say = progress or (lambda _message: None)
@@ -430,20 +426,16 @@ def run_dag_bench(
         {"programs": programs, "same_input": True},
         {"programs": programs, "same_input": False},
     ]
-    roots = [
-        tempfile.mkdtemp(prefix="repro-dag-bench-") for _arm in ("legacy", "dag")
-    ]
+    root = tempfile.mkdtemp(prefix="repro-dag-bench-")
 
-    def run_arm(label: str, root: str, dag: bool) -> dict[str, object]:
+    def run_arm(label: str) -> dict[str, object]:
         say(f"{label} arm...")
         clear_cache()
-        set_scheduler(dag)
         store = ArtifactStore(root)
         with use_store(store):
             set_parallel_jobs(jobs)
             start = time.perf_counter()
-            if dag:
-                prefetch_experiment_batches(batches, jobs=jobs)
+            prefetch_experiment_batches(batches, jobs=jobs)
             table2 = run_table2(programs)
             table4 = run_table4(programs)
             elapsed = time.perf_counter() - start
@@ -452,7 +444,7 @@ def run_dag_bench(
             "tables": {"table2": table2.render(), "table4": table4.render()},
         }
         summary = last_summary()
-        if dag and summary is not None:
+        if summary is not None:
             arm["sched"] = {
                 "total": summary.total,
                 "executed": summary.executed,
@@ -464,31 +456,20 @@ def run_dag_bench(
         return arm
 
     try:
-        legacy = run_arm("legacy-cold", roots[0], dag=False)
-        dag_cold = run_arm("dag-cold", roots[1], dag=True)
-        dag_warm = run_arm("dag-warm", roots[1], dag=True)
+        dag_cold = run_arm("dag-cold")
+        dag_warm = run_arm("dag-warm")
     finally:
-        set_scheduler(True)
         set_parallel_jobs(1)
         clear_cache()
-        for root in roots:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
 
-    identical = (
-        legacy["tables"] == dag_cold["tables"]
-        and dag_cold["tables"] == dag_warm["tables"]
-    )
     result: dict[str, object] = {
         "quick": quick,
         "programs": programs,
         "jobs": jobs,
-        # The cold speedup is dominated by dedup on a single effective
-        # CPU; critical-path overlap only shows with real cores.
+        # Critical-path overlap only shows with real cores.
         "effective_cpus": _effective_cpus(),
         "arms": {
-            "legacy_cold": {
-                key: legacy[key] for key in legacy if key != "tables"
-            },
             "dag_cold": {
                 key: dag_cold[key] for key in dag_cold if key != "tables"
             },
@@ -496,12 +477,7 @@ def run_dag_bench(
                 key: dag_warm[key] for key in dag_warm if key != "tables"
             },
         },
-        "identical": identical,
-        "speedup": (
-            legacy["total_s"] / dag_cold["total_s"]
-            if dag_cold["total_s"]
-            else 0.0
-        ),
+        "identical": dag_cold["tables"] == dag_warm["tables"],
         "warm_executed": (dag_warm.get("sched") or {}).get("executed"),
         "job_seconds_by_kind": dag_cold.get("job_seconds_by_kind", {}),
     }
@@ -521,8 +497,6 @@ def render_dag_bench(result: dict[str, object]) -> str:
         f"job-graph scheduler ({', '.join(result['programs'])}, "
         f"--jobs {result['jobs']}, "
         f"{result.get('effective_cpus', '?')} effective cpu(s)):",
-        f"  legacy cold  {arms['legacy_cold']['total_s']:6.2f}s   "
-        "(coarse per-spec fan-out)",
         f"  dag cold     {arms['dag_cold']['total_s']:6.2f}s   "
         f"(jobs={sched.get('total', '?')}, executed={sched.get('executed', '?')}, "
         f"deduped={sched.get('deduped', '?')}, "
@@ -530,8 +504,7 @@ def render_dag_bench(result: dict[str, object]) -> str:
         f"  dag warm     {arms['dag_warm']['total_s']:6.2f}s   "
         f"(executed={warm_sched.get('executed', '?')}, "
         f"pruned={warm_sched.get('pruned', '?')})",
-        f"  -> {result['speedup']:.2f}x cold speedup, tables "
-        + ("bit-identical" if result["identical"] else "MISMATCH"),
+        "  -> tables " + ("bit-identical" if result["identical"] else "MISMATCH"),
     ]
     if "output" in result:
         lines.append(f"wrote {result['output']}")

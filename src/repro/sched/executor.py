@@ -1,8 +1,7 @@
-"""Graph executors: prune, dispatch along the critical path, assemble.
+"""Graph executor: prune, dispatch along the critical path, assemble.
 
-:func:`run_experiments_dag` is the scheduler's front door — the
-graph-shaped replacement for the coarse per-spec fan-out in
-:func:`repro.runtime.parallel.run_experiments`:
+:func:`run_experiments_dag` is the only multi-job experiment executor;
+``--jobs N`` on every verb plans one job graph and runs it here:
 
 1. **Plan** — :func:`~repro.sched.jobs.plan_experiments` expands the
    specs into a deduplicated stage-job graph.
@@ -10,25 +9,30 @@ graph-shaped replacement for the coarse per-spec fan-out in
    whose artifact is already in the store ``warm-pruned``; a fully-warm
    graph schedules zero executions.
 3. **Dispatch** — the surviving frontier runs through
-   :func:`~repro.runtime.parallel._resilient_map` (the same retry /
-   respawn / fault-injection machinery as the coarse path), fed
-   dynamically: each settled job unlocks its ready dependents, and the
-   pending set is drained longest-estimated-first so the critical path
-   starts immediately.
+   :func:`~repro.runtime.parallel._resilient_map` (retry, respawn and
+   fault injection), fed dynamically: each settled job unlocks its
+   ready dependents, and the pending set is drained
+   longest-estimated-first so the critical path starts immediately.
+   Pooled workers hand artifacts back through a store root, so a
+   store-less pooled run dispatches under a private temporary store
+   that is removed when dispatch ends.
 4. **Assemble** — aggregate nodes run in the parent, rebuilding each
    spec's :class:`~repro.runtime.driver.ExperimentResult` from the
-   store (or the in-memory bag on store-less inline runs).
+   in-memory bag (inline runs), the artifacts pooled workers shipped
+   back, or the store (warm-pruned roles).
 
 A failed job cancels its transitive dependents; the affected specs come
-back as ``None`` holes with a synthesized spec-level
-:class:`~repro.runtime.faults.FanoutReport` recorded for the usual
-partial-results rendering.
+back as ``None`` holes with one spec-level
+:class:`~repro.runtime.faults.FanoutReport` recorded per run for the
+usual partial-results rendering.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from ..obs import telemetry as obs
@@ -39,7 +43,7 @@ from ..runtime.faults import (
     RetryPolicy,
     TaskFailure,
 )
-from ..store import current_store
+from ..store import ArtifactStore, current_store, use_store
 from . import jobs as sched_jobs
 from .graph import (
     CANCELLED,
@@ -51,20 +55,6 @@ from .graph import (
     Job,
     JobGraph,
 )
-
-_scheduler_enabled = True
-
-
-def set_scheduler(enabled: bool) -> None:
-    """Globally enable/disable DAG scheduling (benchmark baseline arm)."""
-    global _scheduler_enabled
-    _scheduler_enabled = bool(enabled)
-
-
-def scheduler_enabled() -> bool:
-    """Whether graph-shaped dispatch is active (default True)."""
-    return _scheduler_enabled
-
 
 @dataclass
 class PlanSummary:
@@ -133,7 +123,7 @@ def _dispatch(
     dispatch list (task index → job).
     """
     store = current_store()
-    use_pool = jobs > 1 and store is not None and bag is None
+    use_pool = jobs > 1
     store_root = str(store.root) if store is not None else None
     with_telemetry = obs.current() is not None
     dispatch: list[Job] = []
@@ -176,9 +166,7 @@ def _dispatch(
     ]
     frontier.sort(key=lambda job: -job.cost)
     if not frontier:
-        report = FanoutReport()
-        parallel._reports.append(report)
-        return report, dispatch
+        return FanoutReport(), dispatch
     items: list = []
     labels: list[str] = []
     priorities: list[float] = []
@@ -192,11 +180,14 @@ def _dispatch(
         labels,
         sched_jobs.job_entry,
         lambda spec: sched_jobs.run_job(spec, bag),
-        jobs if use_pool else 1,
+        jobs,
         policy,
         priorities=priorities,
         feed=feed,
     )
+    # The caller records one spec-level report per run; dropping the
+    # job-level one keeps every shard counted once.
+    parallel._reports.remove(report)
     for failure in report.failures:
         graph.mark_failed(dispatch[failure.index], failure.error)
     for job in graph:
@@ -207,6 +198,18 @@ def _dispatch(
             job.state = CANCELLED
             job.error = job.error or "never became ready"
     return report, dispatch
+
+
+@contextmanager
+def _private_store():
+    """Install a throwaway store for one store-less pooled dispatch.
+
+    Pool workers hand artifacts back through a store root; the
+    directory is removed when dispatch ends, crash or not.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-sched-") as root:
+        with use_store(ArtifactStore(root)):
+            yield
 
 
 def _spec_failure(spec_index: int, spec, aggregate: Job) -> TaskFailure:
@@ -236,11 +239,10 @@ def run_experiments_dag(
     """Run experiment specs as one deduplicated job graph.
 
     Returns ``(results, graph, summary)`` with results in spec order
-    (``None`` holes for specs whose jobs failed, mirroring the coarse
-    fan-out's best-effort contract).  A spec-level
-    :class:`FanoutReport` is recorded via
-    :func:`repro.runtime.parallel.record_report` so partial-results
-    rendering and ``repro report`` see the familiar shape.
+    (``None`` holes for specs whose jobs failed under a best-effort
+    policy).  Exactly one spec-level :class:`FanoutReport` is recorded
+    via :func:`repro.runtime.parallel.record_report`, so partial-results
+    rendering counts each spec once.
     """
     global _last_summary
     specs = list(specs)
@@ -258,18 +260,17 @@ def run_experiments_dag(
     # effective CPU the pool is pure fork/IPC/store round-trip overhead
     # interleaved on one core, so the graph runs inline instead — same
     # jobs, same artifacts, same results.
-    jobs = min(jobs, _effective_cpus())
-    # Store-less runs stay inline with an in-memory artifact bag (pool
-    # workers could only hand artifacts back through a store); inline
-    # runs keep the bag too so assembly never pays a JSON decode.
-    bag: dict | None = {} if (store is None or jobs == 1) else None
-    # Pooled workers ship their artifacts back in the job payload; the
-    # harvest plays the bag's role at assembly so the parent never
-    # re-decodes what a worker just computed this run.
+    jobs = max(1, min(jobs, _effective_cpus()))
+    # Inline runs keep an in-memory artifact bag so assembly never pays
+    # a JSON decode.  Pooled workers ship their artifacts back in the
+    # job payload instead; the harvest plays the bag's role at assembly
+    # so the parent never re-decodes what a worker just computed.
+    bag: dict | None = {} if jobs == 1 else None
     harvest: dict = {} if bag is None else bag
-    job_report, _dispatched = _dispatch(
-        graph, jobs, policy, bag, harvest=None if bag is not None else harvest
-    )
+    with _private_store() if store is None and jobs > 1 else nullcontext():
+        job_report, _dispatched = _dispatch(
+            graph, jobs, policy, bag, harvest=None if bag is not None else harvest
+        )
 
     results: list = []
     spec_report = FanoutReport(total=len(specs))

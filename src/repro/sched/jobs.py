@@ -105,8 +105,7 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
     """Expand experiment specs into one deduplicated job graph.
 
     Returns the sealed graph and the per-spec aggregate jobs (in spec
-    order).  Scalar-engine specs cannot be expressed as trace-derived
-    stage jobs and are rejected; callers keep those on the legacy path.
+    order).
     """
     from ..core.cost_model import COST_MODEL_NAMES
     from ..workloads import make_workload
@@ -115,8 +114,6 @@ def plan_experiments(specs) -> tuple[JobGraph, list[Job]]:
     aggregates: list[Job] = []
     params = store_stages.profile_params(None)
     for spec in specs:
-        if spec.engine == "scalar":
-            raise ValueError("scalar-engine specs cannot be scheduled as a DAG")
         if spec.cost_model not in COST_MODEL_NAMES:
             raise ValueError(
                 f"unknown cost model {spec.cost_model!r}; "
@@ -408,8 +405,7 @@ def run_job(spec: JobSpec, bag: dict | None = None) -> dict:
     whose columns stay in the store).  Shipping the artifact back lets
     the parent assemble results without re-decoding what a pooled
     worker just computed; each deduplicated stage crosses the process
-    boundary once, where the coarse fan-out pickles it inside every
-    dependent experiment's result.
+    boundary once, however many experiments depend on it.
     """
     start = time.perf_counter()
     artifact = None

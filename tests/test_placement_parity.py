@@ -21,7 +21,8 @@ from repro.cache.config import CacheConfig
 from repro.core.algorithm import CCDPPlacer
 from repro.experiments.common import cached_trace
 from repro.profiling.batch import profile_trace
-from repro.runtime.parallel import PlacementSpec, run_placements
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched.executor import run_experiments_dag
 from repro.workloads import make_workload, workload_names
 
 GEOMETRIES = (
@@ -82,16 +83,16 @@ class TestEngineSelection:
 
 
 class TestPlacementFanOut:
-    def test_run_placements_matches_inline(self):
+    def test_pooled_dag_placements_match_scalar_inline(self):
         specs = [
-            PlacementSpec(workload="deltablue", cache_config=GEOMETRIES[0]),
-            PlacementSpec(
-                workload="espresso",
-                cache_config=GEOMETRIES[0],
-                placement_engine="scalar",
-            ),
+            ExperimentSpec(
+                workload=name, same_input=True, cache_config=GEOMETRIES[0]
+            )
+            for name in ("deltablue", "espresso")
         ]
-        inline = run_placements(specs, jobs=1)
-        fanned = run_placements(specs, jobs=2)
-        assert inline == fanned
-        assert inline[0].global_offsets
+        fanned, _, _ = run_experiments_dag(specs, jobs=2)
+        for spec, result in zip(specs, fanned):
+            assert result.placement == _place(
+                spec.workload, GEOMETRIES[0], "scalar"
+            )
+        assert fanned[0].placement.global_offsets

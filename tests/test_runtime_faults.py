@@ -3,7 +3,7 @@
 The resilient executor is exercised two ways: directly through
 ``_resilient_map`` with tiny picklable workers (fast, covers every
 retry/degradation path in isolation) and end-to-end through
-``run_experiments``/``run_table2`` with injected faults (proves a
+``run_experiments_dag``/``run_table2`` with injected faults (proves a
 faulted sweep produces the same results as a clean one).
 
 Pooled fault injection works because Linux forks workers: the
@@ -26,7 +26,8 @@ from repro.runtime.faults import (
     RetryPolicy,
     ShardFailedError,
 )
-from repro.runtime.parallel import ExperimentSpec, run_experiments
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched.executor import run_experiments_dag
 
 
 @pytest.fixture(autouse=True)
@@ -261,10 +262,11 @@ class TestExperimentFanout:
             ExperimentSpec(workload="compress", same_input=True),
             ExperimentSpec(workload="espresso", same_input=True),
         ]
-        clean = run_experiments(specs, jobs=2)
+        clean, _, _ = run_experiments_dag(specs, jobs=2)
+        clear_cache()
         monkeypatch.setenv(faults.ENV_FAULTS, "crash@0")
         parallel.set_retry_policy(RetryPolicy(backoff=0.0))
-        faulted = run_experiments(specs, jobs=2)
+        faulted, _, _ = run_experiments_dag(specs, jobs=2)
         report = parallel.last_fanout_report()
         assert report.crashes >= 1
         for clean_result, faulted_result in zip(clean, faulted):

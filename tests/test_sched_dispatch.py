@@ -1,10 +1,9 @@
-"""Longest-estimated-first dispatch: cost priors and fan-out order.
+"""Longest-estimated-first dispatch: cost priors and frontier order.
 
-One heavy shard dispatched last serializes a whole fan-out behind it.
+One heavy job dispatched last serializes a whole fan-out behind it.
 These tests pin the ordering contract at both layers: the cost priors
-rank programs/stages sensibly, and both coarse fan-out entry points
-(:func:`run_experiments`, :func:`run_placements`) hand their cold
-remainder to the dispatcher longest-estimated-first.
+rank programs/stages sensibly, and the job-graph executor hands its
+ready frontier to the resilient dispatcher longest-estimated-first.
 """
 
 from __future__ import annotations
@@ -14,8 +13,9 @@ import pytest
 from repro.experiments.common import clear_cache
 from repro.runtime import parallel
 from repro.runtime.faults import FanoutReport
-from repro.runtime.parallel import ExperimentSpec, PlacementSpec
-from repro.sched import costs
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched import costs, executor
+from repro.sched.jobs import plan_experiments
 
 
 @pytest.fixture(autouse=True)
@@ -46,19 +46,6 @@ class TestCostPriors:
             "place", "espresso"
         )
 
-    def test_dispatch_order_puts_heaviest_first(self):
-        specs = [
-            ExperimentSpec(workload="deltablue"),
-            ExperimentSpec(workload="compress"),
-            ExperimentSpec(workload="espresso"),
-        ]
-        order = costs.dispatch_order(specs)
-        assert [specs[i].workload for i in order] == [
-            "compress",
-            "espresso",
-            "deltablue",
-        ]
-
     def test_history_overrides_static_weights(self, tmp_path):
         import json
 
@@ -83,33 +70,30 @@ class TestCostPriors:
 
 
 class TestFanoutOrder:
-    def _capture_map(self, monkeypatch):
+    def test_dag_frontier_dispatches_longest_first(self, monkeypatch):
         captured = {}
 
         def fake_map(items, labels, worker, inline, jobs=1, policy=None, **kw):
             captured["labels"] = list(labels)
-            return [None] * len(items), FanoutReport(
-                total=len(items), completed=len(items)
-            )
+            captured["priorities"] = list(kw["priorities"])
+            report = FanoutReport(total=len(items), completed=len(items))
+            parallel._reports.append(report)
+            return [None] * len(items), report
 
         monkeypatch.setattr(parallel, "_resilient_map", fake_map)
-        return captured
-
-    def test_run_experiments_dispatches_longest_first(self, monkeypatch):
-        captured = self._capture_map(monkeypatch)
         specs = [
-            ExperimentSpec(workload="deltablue"),
-            ExperimentSpec(workload="compress"),
-            ExperimentSpec(workload="espresso"),
+            ExperimentSpec(workload="deltablue", same_input=True),
+            ExperimentSpec(workload="compress", same_input=True),
+            ExperimentSpec(workload="espresso", same_input=True),
         ]
-        parallel.run_experiments(specs, jobs=2)
-        assert captured["labels"] == ["compress", "espresso", "deltablue"]
-
-    def test_run_placements_dispatches_longest_first(self, monkeypatch):
-        captured = self._capture_map(monkeypatch)
-        specs = [
-            PlacementSpec(workload="espresso"),
-            PlacementSpec(workload="compress"),
+        graph, _aggregates = plan_experiments(specs)
+        executor._dispatch(graph, 2, None, None)
+        # The frontier is the three training traces, heaviest first.
+        assert [label.split("/")[0] for label in captured["labels"]] == [
+            "trace:compress",
+            "trace:espresso",
+            "trace:deltablue",
         ]
-        parallel.run_placements(specs, jobs=2)
-        assert captured["labels"] == ["compress", "espresso"]
+        assert captured["priorities"] == sorted(
+            captured["priorities"], reverse=True
+        )

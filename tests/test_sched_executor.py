@@ -1,22 +1,30 @@
 """DAG executor end-to-end: equality, warm resume, fault handling.
 
 The graph-shaped dispatcher must be invisible in the results: whatever
-:func:`repro.runtime.parallel.run_experiments` computes, the DAG path
-must reproduce bit-for-bit — store-less, cold-with-store, and warm
-(where it additionally schedules *zero* stage executions).  Failures
-ride the same retry/best-effort machinery as the coarse fan-out.
+the coarse per-spec reference — one :func:`repro.runtime.driver.\
+run_experiment` per spec — computes, the DAG path must reproduce
+bit-for-bit: store-less inline, store-less pooled (under a private
+temporary store), cold-with-store, and warm (where it additionally
+schedules *zero* stage executions).  Failures ride the resilient
+executor's retry/best-effort machinery and are reported once per spec.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 import pytest
 
 from repro.experiments.common import clear_cache
 from repro.runtime import faults, parallel
+from repro.runtime.driver import run_experiment
 from repro.runtime.faults import FaultToleranceError, RetryPolicy
-from repro.runtime.parallel import ExperimentSpec, run_experiments
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched import costs, executor
 from repro.sched.executor import last_summary, run_experiments_dag
-from repro.store import ArtifactStore, use_store
+from repro.store import ArtifactStore, current_store, use_store
+from repro.workloads import make_workload
 from tests.test_store_pipeline import assert_same_experiment
 
 
@@ -34,9 +42,36 @@ def _specs():
     ]
 
 
+def _per_spec(specs):
+    """The coarse reference: one full pipeline run per spec."""
+    results = []
+    for spec in specs:
+        workload = make_workload(spec.workload)
+        test = workload.train_input if spec.same_input else workload.test_input
+        results.append(
+            run_experiment(
+                workload,
+                test_input=test,
+                cache_config=spec.cache_config,
+                include_random=spec.include_random,
+                classify=spec.classify,
+                track_pages=spec.track_pages,
+            )
+        )
+    return results
+
+
+def _scratch_stores():
+    return {
+        name
+        for name in os.listdir(tempfile.gettempdir())
+        if name.startswith("repro-sched-")
+    }
+
+
 class TestEquality:
     def test_storeless_inline_matches_coarse_path(self):
-        direct = run_experiments(_specs(), jobs=1)
+        direct = _per_spec(_specs())
         clear_cache()
         via_dag, graph, summary = run_experiments_dag(_specs(), jobs=1)
         for first, second in zip(direct, via_dag):
@@ -48,13 +83,38 @@ class TestEquality:
 
     def test_cold_store_run_matches_coarse_path(self, tmp_path):
         with use_store(ArtifactStore(tmp_path / "a")):
-            direct = run_experiments(_specs(), jobs=1)
+            direct = _per_spec(_specs())
         clear_cache()
         with use_store(ArtifactStore(tmp_path / "b")):
             via_dag, _, summary = run_experiments_dag(_specs(), jobs=1)
         for first, second in zip(direct, via_dag):
             assert_same_experiment(first, second)
         assert summary.pruned == 0
+
+    def test_storeless_pooled_matches_inline(self, monkeypatch):
+        monkeypatch.setattr(executor, "_effective_cpus", lambda: 2)
+        dispatch_roots = []
+        dispatch = executor._dispatch
+
+        def spy(*args, **kwargs):
+            store = current_store()
+            dispatch_roots.append(None if store is None else store.root.name)
+            return dispatch(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "_dispatch", spy)
+        before = _scratch_stores()
+        inline, _, _ = run_experiments_dag(_specs(), jobs=1)
+        clear_cache()
+        pooled, _, summary = run_experiments_dag(_specs(), jobs=2)
+        for first, second in zip(inline, pooled):
+            assert_same_experiment(first, second)
+        assert summary.failed == 0
+        # Only the pooled run borrows a private store, and only for the
+        # dispatch: nothing stays installed or on disk afterwards.
+        assert dispatch_roots[0] is None
+        assert dispatch_roots[1].startswith("repro-sched-")
+        assert current_store() is None
+        assert _scratch_stores() <= before
 
     def test_last_summary_tracks_most_recent_run(self):
         _, _, summary = run_experiments_dag(_specs()[:1], jobs=1)
@@ -123,3 +183,28 @@ class TestFaults:
         policy = RetryPolicy(max_retries=0, backoff=0.0, best_effort=False)
         with pytest.raises(FaultToleranceError):
             run_experiments_dag(_specs()[:1], jobs=1, policy=policy)
+
+    def test_degraded_spec_is_reported_once(self, monkeypatch, tmp_path):
+        # Static cost priors fix the dispatch order: the frontier is the
+        # three training traces, longest first, so task 1 is espresso's.
+        monkeypatch.chdir(tmp_path)
+        costs.refresh_history()
+        monkeypatch.setenv(faults.ENV_FAULTS, "oom@1#*")
+        parallel.reset_fanout_reports()
+        policy = RetryPolicy(max_retries=1, backoff=0.0, best_effort=True)
+        specs = [
+            ExperimentSpec(workload=name, same_input=True)
+            for name in ("compress", "espresso", "deltablue")
+        ]
+        try:
+            results, _, _ = run_experiments_dag(specs, jobs=2, policy=policy)
+        finally:
+            costs.refresh_history()
+        assert [result is None for result in results] == [False, True, False]
+        assert len(parallel.fanout_reports()) == 1
+        report = parallel.combined_fanout_report()
+        assert [f.label for f in report.failures] == ["espresso"]
+        assert report.render().startswith(
+            "[faults] partial results: 2/3 shards completed "
+            "(1 failed, 1 retries, 0 timeouts, 0 crashes)"
+        )

@@ -2,8 +2,8 @@
 
 A second run of the same experiment against a warm store must (a) never
 execute the workload, (b) report zero misses, and (c) reproduce the cold
-run's results bit-for-bit.  The fan-out helpers must serve warm shards
-inline and dispatch only the cold remainder.
+run's results bit-for-bit.  The job-graph executor must prune warm
+stages and dispatch only the cold remainder.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ import pytest
 
 from repro.profiling.serialize import placement_to_dict
 from repro.runtime.driver import run_experiment
-from repro.runtime.parallel import (
-    ExperimentSpec,
-    PlacementSpec,
-    run_experiments,
-    run_placements,
-)
+from repro.runtime.parallel import ExperimentSpec
+from repro.sched.executor import run_experiments_dag
 from repro.store import ArtifactStore, use_store
 from repro.workloads import make_workload
 
@@ -82,17 +78,18 @@ class TestWarmExperiment:
 
 
 class TestWarmFanOut:
-    def test_run_experiments_serves_warm_shards_inline(self, tmp_path):
+    def test_warm_rerun_serves_every_shard_from_store(self, tmp_path):
         specs = [
             ExperimentSpec(workload="compress"),
             ExperimentSpec(workload="deltablue"),
         ]
         root = tmp_path / "store"
         with use_store(ArtifactStore(root)):
-            cold = run_experiments(specs, jobs=1)
+            cold, _, _ = run_experiments_dag(specs, jobs=1)
         warm_store = ArtifactStore(root)
         with use_store(warm_store):
-            warm = run_experiments(specs, jobs=2)
+            warm, _, summary = run_experiments_dag(specs, jobs=2)
+        assert summary.executed == 0
         assert warm_store.counters.misses == 0
         for first, second in zip(cold, warm):
             assert_same_experiment(first, second)
@@ -100,14 +97,14 @@ class TestWarmFanOut:
     def test_partial_warm_dispatches_only_cold(self, tmp_path):
         root = tmp_path / "store"
         with use_store(ArtifactStore(root)):
-            run_experiments([ExperimentSpec(workload="compress")], jobs=1)
+            run_experiments_dag([ExperimentSpec(workload="compress")], jobs=1)
         mixed_store = ArtifactStore(root)
         specs = [
             ExperimentSpec(workload="compress"),
             ExperimentSpec(workload="deltablue"),
         ]
         with use_store(mixed_store):
-            results = run_experiments(specs, jobs=1)
+            results, _, _ = run_experiments_dag(specs, jobs=1)
         assert len(results) == 2
         assert results[0].workload == "compress"
         assert results[1].workload == "deltablue"
@@ -115,19 +112,8 @@ class TestWarmFanOut:
         assert mixed_store.counters.writes > 0
         rerun_store = ArtifactStore(root)
         with use_store(rerun_store):
-            run_experiments(specs, jobs=1)
+            run_experiments_dag(specs, jobs=1)
         assert rerun_store.counters.misses == 0
-
-    def test_run_placements_warm(self, tmp_path):
-        specs = [PlacementSpec(workload="compress")]
-        root = tmp_path / "store"
-        with use_store(ArtifactStore(root)):
-            cold = run_placements(specs, jobs=1)
-        warm_store = ArtifactStore(root)
-        with use_store(warm_store):
-            warm = run_placements(specs, jobs=1)
-        assert warm_store.counters.misses == 0
-        assert placement_to_dict(cold[0]) == placement_to_dict(warm[0])
 
 
 class TestGcPins:
