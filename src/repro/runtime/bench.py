@@ -13,8 +13,9 @@ the Table 2/4 miss-rate tables) twice over the same programs:
 Both arms produce identical tables (the parity suite asserts equality of
 every statistic), so the wall-clock ratio is a pure engine speedup.  A
 raw-kernel microbenchmark (events/sec through the cache simulators on a
-recorded trace) is included for the per-event view.  Results are written
-as JSON, by default to ``BENCH_pipeline.json``.
+recorded trace, for the direct-mapped, 4-way and classified kernels, each
+checked against the scalar simulator) is included for the per-event
+view.  Results are written as JSON, by default to ``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import time
 from typing import Callable
 
+from ..cache import native
 from ..cache.batch import BatchCacheSimulator
 from ..cache.config import CacheConfig
 from ..cache.simulator import CacheSimulator
@@ -103,19 +105,21 @@ def _run_arm(engine: str, programs: list[str], jobs: int) -> dict[str, object]:
     }
 
 
-def _kernel_microbench(
-    program: str, config: CacheConfig | None = None
-) -> dict[str, object]:
-    """Events/sec through the raw cache simulators on one recorded trace."""
-    config = config or CacheConfig()
-    workload = make_workload(program)
-    trace = record_trace(workload, workload.train_input)
-    addr = trace.resolve(NaturalResolver())
-    _obj, _offset, size, cat, store = trace.columns()
-    obj = _obj
+#: Geometries the kernel microbenchmark times: (label, config, classify).
+#: One per simulation kernel: the numpy direct-mapped kernel, and the
+#: native LRU kernel set-associative and with three-Cs classification.
+KERNEL_GEOMETRIES = (
+    ("8K-direct", CacheConfig(), False),
+    ("8K-4way", CacheConfig(associativity=4), False),
+    ("8K-direct-classify", CacheConfig(), True),
+)
 
+
+def _time_kernel(columns, events: int, config: CacheConfig, classify: bool):
+    """Time batched vs scalar simulation of ``columns``; check they agree."""
+    addr, size, obj, cat, store = columns
     start = time.perf_counter()
-    engine = BatchCacheSimulator(config)
+    engine = BatchCacheSimulator(config, classify=classify)
     for begin in range(0, len(addr), DEFAULT_CHUNK_EVENTS):
         chunk = slice(begin, begin + DEFAULT_CHUNK_EVENTS)
         engine.consume(addr[chunk], size[chunk], obj[chunk], cat[chunk], store[chunk])
@@ -124,7 +128,7 @@ def _kernel_microbench(
     from ..trace.events import Category
 
     categories = tuple(Category)
-    scalar = CacheSimulator(config)
+    scalar = CacheSimulator(config, classify=classify)
     access = scalar.access
     start = time.perf_counter()
     for a, sz, o, c, st in zip(
@@ -132,17 +136,44 @@ def _kernel_microbench(
     ):
         access(a, sz, o, categories[c], bool(st))
     scalar_s = time.perf_counter() - start
-    assert engine.stats == scalar.stats, "kernel diverged during bench"
-
-    events = trace.events
+    if engine.stats != scalar.stats:
+        raise RuntimeError(
+            f"{config.describe()} kernel (classify={classify}) diverged "
+            "from the scalar simulator during bench"
+        )
     return {
-        "program": program,
-        "events": events,
         "batch_s": batch_s,
         "scalar_s": scalar_s,
         "batch_events_per_sec": events / batch_s if batch_s else 0.0,
         "scalar_events_per_sec": events / scalar_s if scalar_s else 0.0,
         "speedup": scalar_s / batch_s if batch_s else 0.0,
+    }
+
+
+def _kernel_microbench(program: str) -> dict[str, object]:
+    """Events/sec through the raw cache simulators on one recorded trace.
+
+    Every geometry of :data:`KERNEL_GEOMETRIES` is timed and
+    parity-checked against the scalar simulator; the top-level figures
+    are the paper's direct-mapped geometry.  The native kernel is
+    loaded (and, on a cold cache, built) before any timing starts.
+    """
+    native.load()
+    workload = make_workload(program)
+    trace = record_trace(workload, workload.train_input)
+    addr = trace.resolve(NaturalResolver())
+    obj, _offset, size, cat, store = trace.columns()
+    columns = (addr, size, obj, cat, store)
+    events = trace.events
+    geometries = {
+        label: _time_kernel(columns, events, config, classify)
+        for label, config, classify in KERNEL_GEOMETRIES
+    }
+    return {
+        "program": program,
+        "events": events,
+        **geometries[KERNEL_GEOMETRIES[0][0]],
+        "geometries": geometries,
     }
 
 
@@ -584,6 +615,12 @@ def render_bench(result: dict[str, object]) -> str:
         f"batched {kernel['batch_events_per_sec']:,.0f} ev/s "
         f"({kernel['speedup']:.1f}x)"
     )
+    for label, timing in kernel["geometries"].items():
+        lines.append(
+            f"  {label:<18} scalar {timing['scalar_events_per_sec']:,.0f} ev/s, "
+            f"batched {timing['batch_events_per_sec']:,.0f} ev/s "
+            f"({timing['speedup']:.1f}x)"
+        )
     if "output" in result:
         lines.append(f"wrote {result['output']}")
     return "\n".join(lines)

@@ -229,7 +229,8 @@ def measure(
             engine via :class:`~repro.runtime.replay.BatchReplaySink`;
             ``"scalar"`` keeps the per-event pipeline.  Both produce
             identical results — the batched engine itself falls back to
-            the scalar simulator for geometries it cannot vectorize.
+            the scalar simulator only when its native LRU kernel (for
+            set-associative or classified runs) cannot be loaded.
         trace: A recorded trace of the same (workload, input) run; when
             given, the workload is not re-run at all
             (:func:`measure_trace`).

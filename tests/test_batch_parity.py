@@ -5,15 +5,19 @@ The batched engine (:mod:`repro.cache.batch`, :mod:`repro.profiling.batch`,
 is *bit-identical* to the scalar pipeline — every paper table must be
 reproducible on either engine.  These tests pin that contract on real
 workloads (deltablue, espresso), a synthetic workload with heap churn,
-and three cache geometries: the paper's 8K/32B direct-mapped cache, a
-larger direct-mapped geometry, and a 2-way set-associative geometry that
-exercises the scalar fallback inside :class:`BatchCacheSimulator`.
+and four cache geometries: the paper's 8K/32B direct-mapped cache, a
+larger direct-mapped geometry, and a 2-way set-associative geometry
+with and without three-Cs classification, the last two running the
+native LRU kernel inside :class:`BatchCacheSimulator` (and its scalar
+fallback when the loader is forced unavailable).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cache import native
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
@@ -25,10 +29,20 @@ from repro.trace.buffer import record_trace
 from repro.workloads import make_workload
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
 
+TWO_WAY = CacheConfig(size=8192, line_size=32, associativity=2)
+
+#: (geometry, classify) pairs.
 GEOMETRIES = [
-    pytest.param(CacheConfig(size=8192, line_size=32, associativity=1), id="8k-32B-direct"),
-    pytest.param(CacheConfig(size=16384, line_size=64, associativity=1), id="16k-64B-direct"),
-    pytest.param(CacheConfig(size=8192, line_size=32, associativity=2), id="8k-32B-2way"),
+    pytest.param(
+        CacheConfig(size=8192, line_size=32, associativity=1), False, id="8k-32B-direct"
+    ),
+    pytest.param(
+        CacheConfig(size=16384, line_size=64, associativity=1),
+        False,
+        id="16k-64B-direct",
+    ),
+    pytest.param(TWO_WAY, False, id="8k-32B-2way"),
+    pytest.param(TWO_WAY, True, id="8k-32B-2way-classify"),
 ]
 
 
@@ -56,19 +70,20 @@ def workload_under_test(name: str):
 WORKLOADS = ["deltablue", "espresso", "synthetic"]
 
 
-@pytest.mark.parametrize("config", GEOMETRIES)
+@pytest.mark.parametrize("config, classify", GEOMETRIES)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_measure_trace_matches_scalar_measure(name, config):
+def test_measure_trace_matches_scalar_measure(name, config, classify):
     """Batched trace measurement == scalar per-event measurement."""
     workload = workload_under_test(name)
     input_name = workload.train_input
     trace = record_trace(workload_under_test(name), input_name)
-    batched = measure_trace(trace, NaturalResolver(), config)
+    batched = measure_trace(trace, NaturalResolver(), config, classify=classify)
     scalar = measure(
         workload_under_test(name),
         input_name,
         NaturalResolver(),
         config,
+        classify=classify,
         engine="scalar",
     )
     assert batched.cache == scalar.cache
@@ -76,21 +91,23 @@ def test_measure_trace_matches_scalar_measure(name, config):
     assert batched.cache.misses > 0
 
 
-@pytest.mark.parametrize("config", GEOMETRIES)
+@pytest.mark.parametrize("config, classify", GEOMETRIES)
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_streaming_batch_sink_matches_scalar(name, config):
+def test_streaming_batch_sink_matches_scalar(name, config, classify):
     """The streaming batched engine (live run) == scalar measurement."""
     batched = measure(
         workload_under_test(name),
         workload_under_test(name).train_input,
         RandomResolver(seed=99),
         config,
+        classify=classify,
     )
     scalar = measure(
         workload_under_test(name),
         workload_under_test(name).train_input,
         RandomResolver(seed=99),
         config,
+        classify=classify,
         engine="scalar",
     )
     assert batched.cache == scalar.cache
@@ -110,20 +127,52 @@ def test_parity_mode_asserts_clean(name):
     assert result.cache.accesses == trace.events or result.cache.accesses > 0
 
 
-@pytest.mark.parametrize("config", GEOMETRIES)
-def test_parity_under_ccdp_placement(config):
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_parity_mode_covers_native_kernel(name):
+    """Parity mode shadows the native LRU kernel on classified 2-way runs."""
+    workload = workload_under_test(name)
+    trace = record_trace(workload, workload.train_input)
+    result = measure_trace(
+        trace, NaturalResolver(), TWO_WAY, classify=True, parity=True
+    )
+    assert result.cache.compulsory > 0
+    assert result.cache.conflict + result.cache.capacity > 0
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_fallback_matches_scalar_measure(name, monkeypatch):
+    """With the native loader unavailable, results still equal scalar."""
+    monkeypatch.setattr(native, "load", lambda: None)
+    assert BatchCacheSimulator(TWO_WAY, classify=True)._kernel is None
+    workload = workload_under_test(name)
+    trace = record_trace(workload, workload.train_input)
+    batched = measure_trace(trace, NaturalResolver(), TWO_WAY, classify=True)
+    scalar = measure(
+        workload_under_test(name),
+        workload.train_input,
+        NaturalResolver(),
+        TWO_WAY,
+        classify=True,
+        engine="scalar",
+    )
+    assert batched.cache == scalar.cache
+
+
+@pytest.mark.parametrize("config, classify", GEOMETRIES)
+def test_parity_under_ccdp_placement(config, classify):
     """Parity also holds when replaying under a CCDP placement map."""
     workload = workload_under_test("deltablue")
     trace = record_trace(workload, workload.train_input)
     _profile, placement = build_placement(
         workload_under_test("deltablue"), workload.train_input, config
     )
-    batched = measure_trace(trace, CCDPResolver(placement), config)
+    batched = measure_trace(trace, CCDPResolver(placement), config, classify=classify)
     scalar = measure(
         workload_under_test("deltablue"),
         workload.train_input,
         CCDPResolver(placement),
         config,
+        classify=classify,
         engine="scalar",
     )
     assert batched.cache == scalar.cache
@@ -166,8 +215,6 @@ def test_parity_mode_catches_divergence():
     engine = BatchCacheSimulator(
         CacheConfig(size=8192, line_size=32, associativity=1), parity=True
     )
-    import numpy as np
-
     addr = np.arange(0, 64 * 32, 32, dtype=np.int64)
     ones = np.ones(len(addr), dtype=np.int64)
     zeros = np.zeros(len(addr), dtype=np.int64)
@@ -175,6 +222,24 @@ def test_parity_mode_catches_divergence():
     engine.assert_parity()  # clean so far
     engine._kernel.misses += 1  # corrupt
     engine._stats = None  # drop the memoized stats snapshot
+    with pytest.raises(AssertionError):
+        engine.assert_parity()
+
+
+def test_parity_mode_catches_native_divergence():
+    """Parity mode also checks the native kernel's three-Cs split."""
+    engine = BatchCacheSimulator(TWO_WAY, classify=True, parity=True)
+    if engine._kernel is None:
+        pytest.skip("native LRU kernel unavailable (no C compiler)")
+    addr = np.arange(0, 1024 * 32, 32, dtype=np.int64)
+    ones = np.ones(len(addr), dtype=np.int64)
+    zeros = np.zeros(len(addr), dtype=np.int64)
+    engine.consume(addr, ones * 4, zeros, zeros, zeros)
+    engine.consume(addr, ones * 4, zeros, zeros, zeros)
+    engine.assert_parity()  # clean so far
+    engine._kernel.capacity -= 1  # corrupt the split, not the total
+    engine._kernel.conflict += 1
+    engine._stats = None
     with pytest.raises(AssertionError):
         engine.assert_parity()
 

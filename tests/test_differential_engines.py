@@ -10,6 +10,11 @@ results — equal :class:`~repro.cache.simulator.CacheStats` and equal
 :class:`~repro.core.placement_map.PlacementMap` — because the fast
 engines are specified as exact reimplementations, not approximations.
 
+Every simulator example runs twice: once on the kernels the batched
+engine picks (the numpy direct-mapped kernel or the native LRU kernel)
+and once with the native loader forced unavailable, so the scalar
+fallback the engine takes without a C compiler stays exact as well.
+
 The suite is deterministic: ``derandomize=True`` derives every example
 from the test's own source, so CI runs a fixed corpus (~100 cases) with
 no deadline flakes.
@@ -17,10 +22,13 @@ no deadline flakes.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import native
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
@@ -37,18 +45,22 @@ _FUZZ_SETTINGS = dict(
 )
 
 #: Geometries sampled by the simulator fuzz: varied size/line/assoc,
-#: including set-associative shapes that exercise the scalar fallback.
+#: including set-associative shapes that run the native LRU kernel.
 _CONFIGS = (
     CacheConfig(size=512, line_size=16, associativity=1),
     CacheConfig(size=1024, line_size=32, associativity=1),
     CacheConfig(size=8192, line_size=32, associativity=1),
+    CacheConfig(size=65536, line_size=32, associativity=1),
     CacheConfig(size=1024, line_size=32, associativity=2),
     CacheConfig(size=2048, line_size=64, associativity=4),
+    CacheConfig(size=8192, line_size=32, associativity=8),
 )
 
 _events = st.lists(
     st.tuples(
-        st.integers(min_value=0, max_value=(1 << 14) - 1),  # addr
+        # Negative addresses check that every engine indexes sets with
+        # floor modulo, as Python's % does.
+        st.integers(min_value=-(1 << 14), max_value=(1 << 14) - 1),  # addr
         st.integers(min_value=1, max_value=96),  # size (spans lines)
         st.integers(min_value=0, max_value=7),  # obj_id
         st.sampled_from(list(Category)),  # category
@@ -59,21 +71,30 @@ _events = st.lists(
 )
 
 
-def _run_scalar(config, events):
-    sim = CacheSimulator(config)
+def _run_scalar(config, events, classify=False):
+    sim = CacheSimulator(config, classify=classify)
     for addr, size, obj_id, category, is_store in events:
         sim.access(addr, size, obj_id, category, is_store)
     return sim.stats
 
 
-def _run_batched(config, events, chunk):
-    engine = BatchCacheSimulator(config)
-    addr, size, obj_id, category, is_store = (
+def _columns(events):
+    return tuple(
         np.array(column, dtype=dtype)
         for column, dtype in zip(
             zip(*events), (np.int64, np.int32, np.int32, np.int8, np.int8)
         )
     )
+
+
+def _without_native():
+    """Force the native loader unavailable, as on a host with no compiler."""
+    return mock.patch.object(native, "load", return_value=None)
+
+
+def _run_batched(config, events, chunk, classify=False, parity=False):
+    engine = BatchCacheSimulator(config, classify=classify, parity=parity)
+    addr, size, obj_id, category, is_store = _columns(events)
     for start in range(0, len(addr), chunk):
         stop = start + chunk
         engine.consume(
@@ -83,6 +104,8 @@ def _run_batched(config, events, chunk):
             category[start:stop],
             is_store[start:stop],
         )
+    if parity:
+        engine.assert_parity()
     return engine.stats
 
 
@@ -92,32 +115,32 @@ class TestSimulatorDifferential:
         config=st.sampled_from(_CONFIGS),
         events=_events,
         chunk=st.sampled_from((1, 7, 64, 1 << 16)),
+        classify=st.booleans(),
     )
-    def test_batched_equals_scalar(self, config, events, chunk):
+    def test_batched_equals_scalar(self, config, events, chunk, classify):
         """Chunked batched simulation == event-at-a-time scalar simulation.
 
         Odd chunk sizes split the stream mid-run, so the kernel's carried
-        state (resident tags, dirty bits, per-set order) is exercised
-        across chunk boundaries, not just within one consume call.
+        state (resident tags, dirty bits, per-set LRU order, the three-Cs
+        shadow and seen set) is exercised across chunk boundaries, not
+        just within one consume call.
         """
-        scalar = _run_scalar(config, events)
-        batched = _run_batched(config, events, chunk)
-        assert batched == scalar
+        scalar = _run_scalar(config, events, classify)
+        assert _run_batched(config, events, chunk, classify) == scalar
+        with _without_native():
+            assert _run_batched(config, events, chunk, classify) == scalar
 
     @settings(max_examples=20, **_FUZZ_SETTINGS)
-    @given(events=_events)
-    def test_parity_mode_self_checks(self, events):
+    @given(
+        config=st.sampled_from(_CONFIGS),
+        events=_events,
+        classify=st.booleans(),
+    )
+    def test_parity_mode_self_checks(self, config, events, classify):
         """The built-in parity shadow agrees on fuzzed streams too."""
-        config = CacheConfig(size=1024, line_size=32, associativity=1)
-        shadowed = BatchCacheSimulator(config, parity=True)
-        addr, size, obj_id, category, is_store = (
-            np.array(column, dtype=dtype)
-            for column, dtype in zip(
-                zip(*events), (np.int64, np.int32, np.int32, np.int8, np.int8)
-            )
-        )
-        shadowed.consume(addr, size, obj_id, category, is_store)
-        shadowed.assert_parity()
+        _run_batched(config, events, 1 << 16, classify, parity=True)
+        with _without_native():
+            _run_batched(config, events, 1 << 16, classify, parity=True)
 
 
 _specs = st.builds(
