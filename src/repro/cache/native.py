@@ -1,7 +1,10 @@
-"""Build and load the C LRU kernel (``_lru.c``) behind a feature probe.
+"""Build and load the C kernels (``_lru.c``) behind a feature probe.
 
-:func:`load` compiles the kernel with the system C compiler the first
-time a simulator needs it — never at import — and loads it with
+The one library holds four entry points: ``lru_consume`` and
+``fa_consume`` for the cache simulators, and ``trg_pass`` and
+``trg_rehash`` for the profiler's TRG recency pass.  :func:`load`
+compiles it with the system C compiler the first time a simulator or
+the profiler needs it — never at import — and loads it with
 :mod:`ctypes`.  The shared library is cached in a per-user directory
 (``$XDG_CACHE_HOME/repro/native``, default ``~/.cache``, mode 0700)
 under a name hashed from the source, the platform, the compiler and the
@@ -12,7 +15,7 @@ each compiles to a private temporary name and atomically renames it
 into place.
 
 When no compiler is found, or the build or load fails, :func:`load`
-returns ``None`` and callers run their scalar path instead.
+returns ``None`` and callers run their Python path instead.
 """
 
 from __future__ import annotations
@@ -57,6 +60,14 @@ _SIGNATURES = {
         None,
         (_I64, _A64, _I64, _I64, _A64, _A32, _A64, _A32, _A32, _A64, _U8),
     ),
+    # n, ranks, entry, num_keys, threshold, queued, prev, next, state,
+    # mask, keys, weights, stamps
+    "trg_pass": (
+        _I64,
+        (_I64, _A64, _A64, _I64, _I64, _A64, _A64, _A64, _A64, _I64, _A64, _A64, _A64),
+    ),
+    # cap, old keys, old weights, old stamps, mask, keys, weights, stamps
+    "trg_rehash": (None, (_I64, _A64, _A64, _A64, _I64, _A64, _A64, _A64)),
 }
 
 

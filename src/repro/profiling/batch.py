@@ -14,15 +14,19 @@ expressible as column operations:
   of one stable argsort of the entity column.
 * The TRG's front-of-queue fast path skips every reference whose
   (entity, chunk) pair equals the previous reference's pair, so only the
-  *boundaries* of consecutive-duplicate runs ever touch the queue.  The
-  recency queue itself (insertion, move-to-front, byte-bounded eviction,
-  and the walk over entries in front of a hit) is inherently sequential
-  and already output-sized — one walk step per edge increment — so it
-  stays a Python loop, but each step shrinks to appending one packed
-  (entity, chunk) key.  The per-edge accounting is lifted out: ordering
-  each increment's endpoints, counting identical edges, and recovering
-  the scalar builder's dict — including its insertion order, which
-  downstream tie-breaking may observe — are all column operations.
+  *boundaries* of consecutive-duplicate runs ever touch the queue.  They
+  are rank-compressed, so every piece of queue state is sized by the
+  number of distinct (entity, chunk) keys.
+
+The recency queue itself (insertion, move-to-front, byte-bounded
+eviction, and the walk over entries in front of a hit) is inherently
+sequential.  It runs in the native ``trg_pass`` kernel
+(:mod:`repro.cache.native`), which adds each walked pair straight into
+an open-addressing edge table whose first-increment stamps recover the
+scalar builder's dict insertion order — which downstream tie-breaking
+may observe.  When the native library is unavailable, the same ranks
+run through an :class:`~collections.OrderedDict` loop, the kernel's
+oracle, whose walked pairs are grouped by one sort.
 
 The one time-varying input — an entity's byte size, which decides the
 queue-entry accounting for small entities — is replayed exactly via a
@@ -39,6 +43,7 @@ from itertools import takewhile
 
 import numpy as np
 
+from ..cache import native
 from ..cache.config import CacheConfig
 from ..naming.xor import DEFAULT_NAME_DEPTH
 from ..obs import telemetry as obs
@@ -136,6 +141,118 @@ def _entry_bytes_column(
     access_rows = ~is_update
     entry[order[access_rows] - count] = values[access_rows]
     return entry
+
+
+#: Slots of the native pass's first edge table; it doubles as needed.
+_EDGE_TABLE_START = 1024
+
+
+def _edge_table(cap: int) -> list[np.ndarray]:
+    """An empty native edge table: keys (-1 = empty), weights, stamps."""
+    keys = np.full(cap, -1, dtype=np.int64)
+    return [keys, np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)]
+
+
+def _recency_pass_native(library, ranks, entry, num_keys, threshold):
+    """The TRG recency pass in the native kernel (``trg_pass``).
+
+    Takes the kept-boundary stream as ranks ``0..num_keys-1`` with each
+    event's queue-entry bytes.  Returns ``(pairs, weights, evictions)``:
+    the distinct edges as ``lo * num_keys + hi`` rank pairs with their
+    weights, in first-increment order (the scalar builder's dict
+    insertion order), and the queue's eviction count.
+    """
+    ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+    entry = np.ascontiguousarray(entry, dtype=np.int64)
+    n = len(ranks)
+    # The kernel indexes its K-sized arrays by rank unchecked, and reads
+    # zero entry bytes as "not queued".
+    if len(entry) != n or n and (
+        ranks.min() < 0 or ranks.max() >= num_keys or entry.min() <= 0
+    ):
+        raise ValueError("trg_pass needs ranks in [0, num_keys) and entry > 0")
+    queued = np.zeros(num_keys, dtype=np.int64)
+    prev = np.empty(num_keys, dtype=np.int64)
+    nxt = np.empty(num_keys, dtype=np.int64)
+    # next event, head, tail, length, bytes, evictions, edges
+    state = np.array([0, -1, -1, 0, 0, 0, 0], dtype=np.int64)
+    stream = (n, ranks, entry, num_keys, threshold, queued, prev, nxt, state)
+    table = _edge_table(_EDGE_TABLE_START)
+    while library.trg_pass(*stream, len(table[0]) - 1, *table) < n:
+        # The next walk could fill the table past half: double it.
+        grown = _edge_table(2 * len(table[0]))
+        library.trg_rehash(len(table[0]), *table, len(grown[0]) - 1, *grown)
+        table = grown
+    keys, weights, stamps = table
+    slots = np.flatnonzero(keys >= 0)
+    # Stamps number the distinct edges 0..edges-1 in first-increment order.
+    in_order = np.empty(len(slots), dtype=np.int64)
+    in_order[stamps[slots]] = slots
+    return keys[in_order], weights[in_order], int(state[5])
+
+
+def _recency_pass_python(ranks, entry, num_keys, threshold):
+    """The TRG recency pass in Python: the fallback and the kernel's oracle.
+
+    Same inputs and outputs as :func:`_recency_pass_native`.  The queue
+    bookkeeping runs as an :class:`~collections.OrderedDict` loop that
+    only appends each walked rank; the per-edge accounting is batched
+    afterwards as one sort-based grouping.
+    """
+    walked = array("q")
+    walk_append = walked.append
+    walk_extend = walked.extend
+    queue: "OrderedDict[int, int]" = OrderedDict()
+    queue_get = queue.get
+    move_to_end = queue.move_to_end
+    popitem = queue.popitem
+    queued_bytes = 0
+    evictions = 0
+    # The walk consumes queue entries newer than the hit key;
+    # ``takewhile(key.__ne__, ...)`` into ``extend`` keeps the whole walk
+    # in C.  A hit never has the key at the front (consecutive duplicates
+    # were collapsed), and a hit implies at least two queued entries, so
+    # the pre-event invariant "bytes <= threshold unless a single entry
+    # overflows alone" lets unchanged-entry hits skip the byte accounting
+    # and the eviction check entirely.
+    for key, size in zip(ranks.tolist(), entry.tolist()):
+        old = queue_get(key)
+        if old is not None:
+            # ~key < 0 marks the hit boundary inside the walk list.
+            walk_append(~key)
+            walk_extend(takewhile(key.__ne__, reversed(queue)))
+            move_to_end(key)
+            if size == old:
+                continue
+        queue[key] = size
+        queued_bytes += size - (old or 0)
+        while queued_bytes > threshold and len(queue) > 1:
+            _evicted, evicted_bytes = popitem(last=False)
+            queued_bytes -= evicted_bytes
+            evictions += 1
+    if not walked:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), evictions
+    # One edge increment per walked rank, in the scalar builder's
+    # increment order, so the first occurrence of each distinct edge
+    # reproduces its dict insertion order.
+    arr = np.frombuffer(walked, dtype=np.int64)
+    boundary = arr < 0
+    hit_pos = np.flatnonzero(boundary)
+    counts = np.diff(np.concatenate((hit_pos, [len(arr)]))) - 1
+    other = arr[~boundary]
+    hit = np.repeat(~arr[hit_pos], counts)
+    pair = np.minimum(other, hit) * num_keys + np.maximum(other, hit)
+    if num_keys * num_keys <= np.iinfo(np.uint32).max:
+        pair = pair.astype(np.uint32)
+    uniq, first_idx, weights = np.unique(
+        pair, return_index=True, return_counts=True
+    )
+    insert_order = np.argsort(first_idx)
+    return (
+        uniq[insert_order].astype(np.int64),
+        weights[insert_order],
+        evictions,
+    )
 
 
 def profile_trace(
@@ -248,101 +365,34 @@ def profile_trace(
         np.not_equal(packed[1:], packed[:-1], out=keep[1:])
         kept = np.flatnonzero(keep)
         stream = packed[kept]
-        m = len(stream)
 
         entry_col = _entry_bytes_column(
             eid_col[kept], kept, size_updates, chunk_size
         )
+        obs.count("profile.kept_boundaries", len(stream))
 
-        # Recency pass: the scalar queue's insert / move-to-front /
-        # byte-bounded eviction bookkeeping, with the edge walk reduced
-        # to appending each walked pair's packed key — the walk itself is
-        # output-sized (one step per edge increment), so only the
-        # per-edge dict accounting is worth lifting out; it is batched
-        # below as column operations.
-        walked = array("q")
-        walk_append = walked.append
-        walk_extend = walked.extend
-        queue: "OrderedDict[int, int]" = OrderedDict()
-        queue_get = queue.get
-        move_to_end = queue.move_to_end
-        popitem = queue.popitem
-        queued_bytes = 0
-        evictions = 0
+        # Rank-compress the kept keys, so the recency pass works on
+        # dense ranks 0..K-1.  Ranks are monotone in the packed keys, so
+        # min/max of ranks == min/max of keys, and ``uniq_keys[rank]``
+        # recovers the key.
+        uniq_keys, ranks = np.unique(stream, return_inverse=True)
+        num_keys = len(uniq_keys)
         threshold = sink._trg.queue_threshold
-        # The walk consumes queue entries newer than the hit key;
-        # ``takewhile(key.__ne__, ...)`` into ``extend`` keeps the whole
-        # walk in C.  A hit never has the key at the front (consecutive
-        # duplicates were collapsed), and a hit implies at least two
-        # queued entries, so the pre-event invariant "bytes <= threshold
-        # unless a single entry overflows alone" lets unchanged-entry
-        # hits skip the byte accounting and the eviction check entirely.
-        for key, entry in zip(stream.tolist(), entry_col.tolist()):
-            old = queue_get(key)
-            if old is not None:
-                # ~key < 0 marks the hit boundary inside the walk list.
-                walk_append(~key)
-                walk_extend(takewhile(key.__ne__, reversed(queue)))
-                move_to_end(key)
-                if entry == old:
-                    continue
-            queue[key] = entry
-            queued_bytes += entry - (old or 0)
-            while queued_bytes > threshold and len(queue) > 1:
-                _evicted, evicted_bytes = popitem(last=False)
-                queued_bytes -= evicted_bytes
-                evictions += 1
+        library = native.load()
+        if library is None:
+            obs.count("profile.native_unavailable")
+            pairs, w, evictions = _recency_pass_python(
+                ranks, entry_col, num_keys, threshold
+            )
+        else:
+            pairs, w, evictions = _recency_pass_native(
+                library, ranks, entry_col, num_keys, threshold
+            )
         sink._trg.evictions = evictions
-        obs.count("profile.kept_boundaries", m)
 
-        if walked:
-            # One edge increment per walked pair.  Append order is the
-            # scalar builder's increment order, so first occurrence per
-            # distinct edge reproduces its dict insertion order exactly.
-            arr = np.frombuffer(walked, dtype=np.int64)
-            boundary = arr < 0
-            hit_pos = np.flatnonzero(boundary)
-            counts = np.diff(np.concatenate((hit_pos, [len(arr)]))) - 1
-            # Rank-compress the packed keys (every walked key appears in
-            # ``stream``) so the pair key space shrinks to (#distinct
-            # keys)^2 — usually small enough for dense accumulation.
-            # searchsorted is monotone, so min/max of ranks == min/max of
-            # keys, and ``uniq_keys[rank]`` recovers the original key.
-            # Only the hit endpoints (pre-repeat) need ranking; the walked
-            # endpoints are ranked in one pass.
-            uniq_keys = np.unique(stream)
-            a_r = np.searchsorted(uniq_keys, arr[~boundary])
-            b_r = np.repeat(np.searchsorted(uniq_keys, ~arr[hit_pos]), counts)
-            lo_r = np.minimum(a_r, b_r)
-            hi_r = np.maximum(a_r, b_r)
-            num_keys = len(uniq_keys)
-            pair = lo_r * num_keys + hi_r
-            key_space = num_keys * num_keys
-            if key_space <= 1 << 24:
-                # Dense accumulation: weights by bincount, first
-                # occurrence by a reversed scatter (last write wins, so
-                # writing in reverse keeps the earliest row) — two linear
-                # passes instead of sorting millions of increments.
-                dense_w = np.bincount(pair, minlength=key_space)
-                first = np.full(key_space, -1, dtype=np.int64)
-                first[pair[::-1]] = np.arange(len(pair) - 1, -1, -1)
-                pids = np.flatnonzero(dense_w)
-                pids = pids[np.argsort(first[pids])]
-                rows = first[pids]
-                w = dense_w[pids]
-            else:
-                # Sparse key space: sort-based grouping on the narrowest
-                # dtype the pair key fits.
-                if key_space <= np.iinfo(np.uint32).max:
-                    pair = pair.astype(np.uint32)
-                _uniq, first_idx, weights = np.unique(
-                    pair, return_index=True, return_counts=True
-                )
-                insert_order = np.argsort(first_idx)
-                rows = first_idx[insert_order]
-                w = weights[insert_order]
-            lo = uniq_keys[lo_r[rows]]
-            hi = uniq_keys[hi_r[rows]]
+        if len(pairs):
+            lo = uniq_keys[pairs // num_keys]
+            hi = uniq_keys[pairs % num_keys]
             lo_eid = lo // span
             hi_eid = hi // span
             edge_cols = zip(

@@ -14,8 +14,10 @@ Both arms produce identical tables (the parity suite asserts equality of
 every statistic), so the wall-clock ratio is a pure engine speedup.  A
 raw-kernel microbenchmark (events/sec through the cache simulators on a
 recorded trace, for the direct-mapped, 4-way and classified kernels, each
-checked against the scalar simulator) is included for the per-event
-view.  Results are written as JSON, by default to ``BENCH_pipeline.json``.
+checked against the scalar simulator, plus profiling on the native TRG
+kernel checked against its Python fallback) is included for the
+per-event view.  Results are written as JSON, by default to
+``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from __future__ import annotations
 import json
 import time
 from typing import Callable
+from unittest import mock
 
 from ..cache import native
 from ..cache.batch import BatchCacheSimulator
 from ..cache.config import CacheConfig
 from ..cache.simulator import CacheSimulator
+from ..obs import telemetry as obs
+from ..profiling.batch import profile_trace
 from ..trace.buffer import DEFAULT_CHUNK_EVENTS, record_trace
 from ..workloads import make_workload
 from .resolvers import NaturalResolver
@@ -150,13 +155,55 @@ def _time_kernel(columns, events: int, config: CacheConfig, classify: bool):
     }
 
 
+def _profile_once(trace) -> tuple[float, tuple]:
+    """Time one batched profile; return it with its eviction count."""
+    registry = obs.Telemetry()
+    with obs.use(registry):
+        start = time.perf_counter()
+        profile = profile_trace(trace)
+        elapsed = time.perf_counter() - start
+    evictions = registry.counters["profile.queue_evictions"]
+    derived = (
+        list(profile.trg.items()),
+        list(profile.popularity().items()),
+        list(profile.entity_affinity().items()),
+    )
+    return elapsed, (profile, derived, evictions)
+
+
+def _time_profile(trace) -> dict[str, float]:
+    """Time profiling on the native TRG kernel and on the Python fallback.
+
+    Raises when the two profiles differ in any field, in edge insertion
+    order, in the derived reductions, or in the queue eviction count.
+    """
+    native_s, on_kernel = _profile_once(trace)
+    with mock.patch.object(native, "load", return_value=None):
+        python_s, on_fallback = _profile_once(trace)
+    if on_kernel != on_fallback:
+        raise RuntimeError(
+            "native TRG recency kernel diverged from the Python fallback "
+            "during bench"
+        )
+    events = trace.events
+    return {
+        "native_s": native_s,
+        "python_s": python_s,
+        "native_events_per_sec": events / native_s if native_s else 0.0,
+        "python_events_per_sec": events / python_s if python_s else 0.0,
+        "speedup": python_s / native_s if native_s else 0.0,
+    }
+
+
 def _kernel_microbench(program: str) -> dict[str, object]:
     """Events/sec through the raw cache simulators on one recorded trace.
 
     Every geometry of :data:`KERNEL_GEOMETRIES` is timed and
     parity-checked against the scalar simulator; the top-level figures
-    are the paper's direct-mapped geometry.  The native kernel is
-    loaded (and, on a cold cache, built) before any timing starts.
+    are the paper's direct-mapped geometry.  Profiling the same trace is
+    timed and parity-checked on the native TRG kernel against the Python
+    fallback (``profile``).  The native kernels are loaded (and, on a
+    cold cache, built) before any timing starts.
     """
     native.load()
     workload = make_workload(program)
@@ -174,6 +221,7 @@ def _kernel_microbench(program: str) -> dict[str, object]:
         "events": events,
         **geometries[KERNEL_GEOMETRIES[0][0]],
         "geometries": geometries,
+        "profile": _time_profile(trace),
     }
 
 
@@ -621,6 +669,12 @@ def render_bench(result: dict[str, object]) -> str:
             f"batched {timing['batch_events_per_sec']:,.0f} ev/s "
             f"({timing['speedup']:.1f}x)"
         )
+    profile = kernel["profile"]
+    lines.append(
+        f"  {'profile':<18} python {profile['python_events_per_sec']:,.0f} ev/s, "
+        f"native {profile['native_events_per_sec']:,.0f} ev/s "
+        f"({profile['speedup']:.1f}x)"
+    )
     if "output" in result:
         lines.append(f"wrote {result['output']}")
     return "\n".join(lines)

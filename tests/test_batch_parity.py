@@ -9,7 +9,8 @@ and four cache geometries: the paper's 8K/32B direct-mapped cache, a
 larger direct-mapped geometry, and a 2-way set-associative geometry
 with and without three-Cs classification, the last two running the
 native LRU kernel inside :class:`BatchCacheSimulator` (and its scalar
-fallback when the loader is forced unavailable).
+fallback when the loader is forced unavailable).  Batched profiles are
+checked on the native TRG recency kernel and on its Python fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.cache import native
 from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
+from repro.obs import telemetry as obs
 from repro.profiling.batch import profile_trace
 from repro.profiling.profiler import ProfilerSink
 from repro.runtime.driver import build_placement, measure, measure_trace
@@ -178,36 +180,58 @@ def test_parity_under_ccdp_placement(config, classify):
     assert batched.cache == scalar.cache
 
 
+def _profile_with_evictions(run):
+    """``(profile, queue evictions)`` of one profiling run, from telemetry."""
+    registry = obs.Telemetry()
+    with obs.use(registry):
+        profile = run()
+    return profile, registry.counters["profile.queue_evictions"]
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_batched_profile_equals_scalar_profile(name):
-    """profile_trace == live ProfilerSink, down to dict insertion order."""
+def test_batched_profile_equals_scalar_profile(name, monkeypatch):
+    """profile_trace == live ProfilerSink, down to dict insertion order.
+
+    Checked on the native TRG recency kernel and again with the loader
+    forced unavailable, which runs the Python fallback.
+    """
     workload = workload_under_test(name)
     input_name = workload.train_input
     trace = record_trace(workload, input_name)
-    batched = profile_trace(trace)
+    on_kernel = _profile_with_evictions(lambda: profile_trace(trace))
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "load", lambda: None)
+        on_fallback = _profile_with_evictions(lambda: profile_trace(trace))
 
-    sink = ProfilerSink()
-    workload_under_test(name).run(sink, input_name)
-    scalar = sink.profile
+    def live():
+        sink = ProfilerSink()
+        workload_under_test(name).run(sink, input_name)
+        return sink.profile
 
-    # TRG edges: same weights AND same insertion order (downstream
-    # tie-breaking iterates the dict).
-    assert list(batched.trg.items()) == list(scalar.trg.items())
-    assert batched.total_accesses == scalar.total_accesses
-    assert batched.alloc_adjacency == scalar.alloc_adjacency
-    assert set(batched.entities) == set(scalar.entities)
-    for eid, scalar_entity in scalar.entities.items():
-        batched_entity = batched.entities[eid]
-        assert batched_entity.refs == scalar_entity.refs
-        assert batched_entity.first_access == scalar_entity.first_access
-        assert batched_entity.last_access == scalar_entity.last_access
-        assert batched_entity.size == scalar_entity.size
-        assert batched_entity.collided == scalar_entity.collided
-    # Derived reductions (precomputed on the batched side) match too.
-    assert list(batched.popularity().items()) == list(scalar.popularity().items())
-    assert list(batched.entity_affinity().items()) == list(
-        scalar.entity_affinity().items()
-    )
+    scalar, scalar_evictions = _profile_with_evictions(live)
+
+    for batched, evictions in (on_kernel, on_fallback):
+        assert evictions == scalar_evictions
+        # TRG edges: same weights AND same insertion order (downstream
+        # tie-breaking iterates the dict).
+        assert list(batched.trg.items()) == list(scalar.trg.items())
+        assert batched.total_accesses == scalar.total_accesses
+        assert batched.alloc_adjacency == scalar.alloc_adjacency
+        assert set(batched.entities) == set(scalar.entities)
+        for eid, scalar_entity in scalar.entities.items():
+            batched_entity = batched.entities[eid]
+            assert batched_entity.refs == scalar_entity.refs
+            assert batched_entity.first_access == scalar_entity.first_access
+            assert batched_entity.last_access == scalar_entity.last_access
+            assert batched_entity.size == scalar_entity.size
+            assert batched_entity.collided == scalar_entity.collided
+        # Derived reductions (precomputed on the batched side) match too.
+        assert list(batched.popularity().items()) == list(
+            scalar.popularity().items()
+        )
+        assert list(batched.entity_affinity().items()) == list(
+            scalar.entity_affinity().items()
+        )
 
 
 def test_parity_mode_catches_divergence():

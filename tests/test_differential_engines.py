@@ -14,6 +14,10 @@ Every simulator example runs twice: once on the kernels the batched
 engine picks (the numpy direct-mapped kernel or the native LRU kernel)
 and once with the native loader forced unavailable, so the scalar
 fallback the engine takes without a C compiler stays exact as well.
+The batched profiler gets the same treatment: every random workload is
+profiled on the native TRG recency kernel and on its Python fallback,
+and the kernel is also fuzzed directly against the Python loop on raw
+rank streams.
 
 The suite is deterministic: ``derandomize=True`` derives every example
 from the test's own source, so CI runs a fixed corpus (~100 cases) with
@@ -25,7 +29,8 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import native
@@ -33,7 +38,13 @@ from repro.cache.batch import BatchCacheSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import CacheSimulator
 from repro.core.algorithm import CCDPPlacer
-from repro.profiling.batch import profile_trace
+from repro.obs import telemetry as obs
+from repro.profiling.batch import (
+    _recency_pass_native,
+    _recency_pass_python,
+    profile_trace,
+)
+from repro.profiling.profiler import ProfilerSink
 from repro.trace.buffer import record_trace
 from repro.trace.events import Category
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
@@ -158,6 +169,58 @@ _specs = st.builds(
 )
 
 
+#: Queue thresholds drawn by the profile fuzz: an eviction-heavy bound
+#: (four 256-byte chunks) and the default (twice the 8K cache).
+_THRESHOLDS = st.sampled_from((1024, None))
+
+#: A synthetic program whose TRG has more than 512 distinct edges, so the
+#: native pass outgrows its first edge table and rehashes.
+_MANY_EDGES = SyntheticSpec(
+    hot_globals=8, hot_size=1024, iterations=60, heap_churn=2, heap_persistent=3
+)
+
+
+def _profile_with_evictions(run):
+    """``(profile, queue evictions)`` of one profiling run, from telemetry."""
+    registry = obs.Telemetry()
+    with obs.use(registry):
+        profile = run()
+    return profile, registry.counters["profile.queue_evictions"]
+
+
+def _assert_profile_matches_scalar(spec, queue_threshold):
+    """profile_trace on the kernel and on the fallback == live ProfilerSink."""
+    workload = SyntheticWorkload(spec)
+    trace = record_trace(workload, workload.train_input)
+
+    def live():
+        sink = ProfilerSink(queue_threshold=queue_threshold)
+        workload.run(sink, workload.train_input)
+        return sink.profile
+
+    scalar, scalar_evictions = _profile_with_evictions(live)
+
+    def batched():
+        return profile_trace(trace, queue_threshold=queue_threshold)
+
+    engines = [_profile_with_evictions(batched)]
+    with _without_native():
+        engines.append(_profile_with_evictions(batched))
+    for profile, evictions in engines:
+        # Items, not dicts: insertion order is part of the contract.
+        assert list(profile.trg.items()) == list(scalar.trg.items())
+        assert evictions == scalar_evictions
+        assert profile.total_accesses == scalar.total_accesses
+        assert set(profile.entities) == set(scalar.entities)
+        assert list(profile.popularity().items()) == list(
+            scalar.popularity().items()
+        )
+        assert list(profile.entity_affinity().items()) == list(
+            scalar.entity_affinity().items()
+        )
+    return scalar
+
+
 class TestPlacerDifferential:
     @settings(max_examples=25, **_FUZZ_SETTINGS)
     @given(spec=_specs, place_heap=st.booleans())
@@ -184,19 +247,68 @@ class TestPlacerDifferential:
         assert placements["array"] == placements["scalar"]
 
     @settings(max_examples=8, **_FUZZ_SETTINGS)
-    @given(spec=_specs)
-    def test_batched_profile_equals_scalar_profile(self, spec):
+    @given(spec=_specs, queue_threshold=_THRESHOLDS)
+    def test_batched_profile_equals_scalar_profile(self, spec, queue_threshold):
         """profile_trace over a recording == live ProfilerSink profiling."""
-        from repro.profiling.profiler import ProfilerSink
+        _assert_profile_matches_scalar(spec, queue_threshold)
 
-        workload = SyntheticWorkload(spec)
-        trace = record_trace(workload, workload.train_input)
-        batched = profile_trace(trace)
-        sink = ProfilerSink()
-        workload.run(sink, workload.train_input)
-        scalar = sink.profile
-        assert batched.trg == scalar.trg
-        assert batched.total_accesses == scalar.total_accesses
-        assert set(batched.entities) == set(scalar.entities)
-        assert batched.popularity() == scalar.popularity()
-        assert batched.entity_affinity() == scalar.entity_affinity()
+
+@pytest.fixture(scope="module")
+def library():
+    """The loaded native library; skips where it cannot be built."""
+    loaded = native.load()
+    if loaded is None:
+        pytest.skip("native kernel unavailable (no C compiler)")
+    return loaded
+
+
+class TestProfilerDifferential:
+    def test_edge_table_growth(self):
+        """More than 512 distinct edges: the native edge table rehashes."""
+        scalar = _assert_profile_matches_scalar(_MANY_EDGES, None)
+        assert len(scalar.trg) > 512
+
+    @settings(max_examples=30, **_FUZZ_SETTINGS)
+    @given(
+        seed=st.integers(min_value=0, max_value=(1 << 32) - 1),
+        length=st.sampled_from((1, 40, 600)),
+        num_keys=st.sampled_from((2, 16, 96)),
+        threshold=st.sampled_from((1, 256, 1024, 1 << 14)),
+    )
+    # Thousands of distinct edges: the edge table grows several times.
+    @example(seed=0, length=600, num_keys=96, threshold=1 << 14)
+    def test_native_pass_equals_python_pass(
+        self, library, seed, length, num_keys, threshold
+    ):
+        """trg_pass == the Python recency loop on raw rank streams.
+
+        Entry sizes vary per event (as an entity's size may change
+        mid-run), thresholds down to one byte keep the queue at its
+        single-entry floor, and long streams over 96 keys outgrow the
+        first edge table.
+        """
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(0, num_keys, length)
+        # Consecutive duplicates never reach the pass (profile_trace
+        # collapses them), so drop them here too.
+        ranks = ranks[np.concatenate(([True], ranks[1:] != ranks[:-1]))]
+        entry = rng.choice(np.array([8, 48, 256]), len(ranks))
+        columns = (ranks, entry, num_keys, threshold)
+        kernel = _recency_pass_native(library, *columns)
+        oracle = _recency_pass_python(*columns)
+        assert kernel[0].tolist() == oracle[0].tolist()
+        assert kernel[1].tolist() == oracle[1].tolist()
+        assert kernel[2] == oracle[2]
+
+    def test_native_pass_rejects_out_of_range_input(self, library):
+        """Ranks outside [0, num_keys) or empty entries never reach C."""
+        ones = np.ones(2, dtype=np.int64)
+        for ranks, entry in (([0, 2], ones), ([-1, 0], ones), ([0, 1], [1, 0])):
+            with pytest.raises(ValueError):
+                _recency_pass_native(
+                    library,
+                    np.array(ranks, dtype=np.int64),
+                    np.array(entry, dtype=np.int64),
+                    2,
+                    16,
+                )
