@@ -1,4 +1,4 @@
-"""Bench: the batched engine vs the seed's scalar pipeline.
+"""Bench: the table pipeline plus the raw-kernel microbenchmark.
 
 Runs :func:`repro.runtime.bench.run_bench` in quick mode (two programs)
 under the benchmark timer and writes ``BENCH_pipeline.json`` so every PR
@@ -6,10 +6,10 @@ leaves a machine-readable perf trajectory next to the table artifacts.
 
 Shapes asserted:
 
-* both arms process the same logical event count (the ratio is a pure
-  engine speedup, not a work difference);
-* the batched arm beats the scalar arm end-to-end;
-* the raw direct-mapped kernel is at least 3x the scalar simulator;
+* the pipeline arm processes a positive logical event count;
+* the raw direct-mapped kernel is at least 3x the scalar simulator
+  (``run_bench`` itself raises if any kernel diverges from its scalar
+  fallback);
 * the JSON report exists and round-trips with the headline numbers.
 """
 
@@ -28,17 +28,14 @@ OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
 def test_perf_pipeline(benchmark):
     result = run_once(benchmark, run_bench, quick=True, output=OUTPUT)
 
-    scalar = result["arms"]["scalar"]
     batched = result["arms"]["batched"]
-    assert scalar["events"] == batched["events"] > 0
-    assert batched["total_s"] < scalar["total_s"]
-    assert result["speedup"] > 1.0
+    assert batched["events"] > 0
     assert result["kernel"]["speedup"] >= 3.0
 
     with open(OUTPUT) as handle:
         report = json.load(handle)
     assert report["programs"] == result["programs"]
-    assert report["speedup"] == result["speedup"]
-    assert set(report["arms"]) == {"scalar", "batched"}
+    assert report["kernel"]["speedup"] == result["kernel"]["speedup"]
+    assert set(report["arms"]) == {"batched"}
     for arm in report["arms"].values():
         assert set(arm["tables_s"]) == {"table1", "table2", "table4"}

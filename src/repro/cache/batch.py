@@ -24,9 +24,9 @@ kernel's ``bincount`` attribution.
 :class:`BatchCacheSimulator` exposes the kernels behind a chunk-consumer
 API, so callers never need to branch; only when the C kernel cannot be
 built or loaded does it fall back to the scalar
-:class:`~repro.cache.simulator.CacheSimulator`.  A *parity* mode drives
-the scalar simulator alongside either kernel and asserts identical
-:class:`~repro.cache.simulator.CacheStats`.
+:class:`~repro.cache.simulator.CacheSimulator`, whose
+:class:`~repro.cache.simulator.CacheStats` every kernel reproduces
+exactly.
 """
 
 from __future__ import annotations
@@ -352,9 +352,6 @@ class BatchCacheSimulator:
         config: Cache geometry; the paper's 8K/32B direct-mapped default.
         classify: Three-Cs classification (compulsory / capacity /
             conflict), computed by the native LRU kernel.
-        parity: Run the scalar simulator alongside the kernel and let
-            :meth:`assert_parity` compare their stats — the batched
-            engine's correctness harness.
 
     Direct-mapped geometries without classification run the numpy
     kernel; every other geometry runs the native LRU kernel, or the
@@ -370,19 +367,15 @@ class BatchCacheSimulator:
         self,
         config: CacheConfig | None = None,
         classify: bool = False,
-        parity: bool = False,
     ):
         self.config = config or CacheConfig()
         self.classify = classify
-        self.parity = parity
         self._kernel = _make_kernel(self.config, classify)
         self._scalar = (
             CacheSimulator(self.config, classify=classify)
-            if self._kernel is None or parity
+            if self._kernel is None
             else None
         )
-        #: The scalar twin that parity mode checks the kernel against.
-        self._shadow = self._scalar if self._kernel is not None else None
         self._stats: CacheStats | None = None
 
     def consume(
@@ -399,8 +392,7 @@ class BatchCacheSimulator:
         obs.count("sim.chunks")
         if self._kernel is not None:
             self._kernel.consume(addr, size, obj_id, category, is_store)
-            if self._shadow is None:
-                return
+            return
         access = self._scalar.access
         categories = _CATEGORIES
         for a, sz, obj, cat, st in zip(
@@ -428,14 +420,3 @@ class BatchCacheSimulator:
             invariants.maybe_check_cache_stats(stats, context="batched kernel")
             self._stats = stats
         return self._stats
-
-    def assert_parity(self) -> None:
-        """In parity mode, assert kernel and scalar stats are identical."""
-        if self._shadow is None:
-            return
-        kernel_stats = self.stats
-        scalar_stats = self._shadow.stats
-        assert kernel_stats == scalar_stats, (
-            "batched kernel diverged from scalar simulator:\n"
-            f"  kernel: {kernel_stats}\n  scalar: {scalar_stats}"
-        )

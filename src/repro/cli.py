@@ -20,10 +20,9 @@ Commands mirror the paper's workflow:
   one deduplicated job graph and write ``BENCH_sweep.json``: per-cell
   placed-vs-original miss rates, win/loss/tie verdicts, and the cells
   where associativity inverts CCDP's verdict (``docs/SWEEP.md``).
-* ``bench``    — time the table pipeline under the batched engine vs the
-  scalar baseline and write ``BENCH_pipeline.json``; ``--placement``
-  times the placement pass (array vs scalar conflict-scan engine) and
-  writes ``BENCH_placement.json``; ``--store`` times a cold vs warm
+* ``bench``    — time the table pipeline and the raw simulation and
+  profiling kernels (each checked against its scalar fallback) and
+  write ``BENCH_pipeline.json``; ``--store`` times a cold vs warm
   artifact-store run and writes ``BENCH_cache.json``; ``--trace-scale``
   streams 10-100x amplified traces through each storage backend
   (``--scales``, ``--backends``) and writes ``BENCH_scale.json`` with
@@ -507,17 +506,14 @@ def cmd_bench(args) -> int:
         CACHE_OUTPUT,
         DAG_OUTPUT,
         DEFAULT_OUTPUT,
-        PLACEMENT_OUTPUT,
         SCALE_OUTPUT,
         render_bench,
         render_cache_bench,
         render_dag_bench,
-        render_placement_bench,
         render_scale_bench,
         run_bench,
         run_cache_bench,
         run_dag_bench,
-        run_placement_bench,
         run_scale_bench,
     )
 
@@ -573,14 +569,6 @@ def cmd_bench(args) -> int:
             progress=print,
         )
         print(render_cache_bench(result))
-        return 0
-    if args.placement:
-        result = run_placement_bench(
-            quick=args.quick,
-            output=args.output or PLACEMENT_OUTPUT,
-            progress=print,
-        )
-        print(render_placement_bench(result))
         return 0
     if args.adaptive:
         from .adaptive.bench import (
@@ -1011,7 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_options(p_sweep, default_on=True)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark the batched engine against the scalar baseline"
+        "bench",
+        help="time the table pipeline and the simulation/profiling kernels",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -1019,12 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the batched arm (default 1)",
-    )
-    p_bench.add_argument(
-        "--placement", action="store_true",
-        help="benchmark the placement pass (array vs scalar engine) "
-             "instead of the simulation pipeline",
+        help="worker processes for the pipeline arm (default 1)",
     )
     p_bench.add_argument(
         "--store", action="store_true",
@@ -1060,8 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "-o", "--output", default=None,
-        help="where to write the JSON report (default BENCH_pipeline.json, "
-             "or BENCH_placement.json with --placement)",
+        help="where to write the JSON report (default BENCH_pipeline.json)",
     )
     _add_store_options(p_bench, default_on=False)
 

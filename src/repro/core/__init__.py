@@ -1,15 +1,8 @@
 """The CCDP placement algorithm (paper Figures 1 and 2)."""
 
 from .algorithm import CCDPPlacer, DEFAULT_POPULARITY_CUTOFF
-from .cache_struct import (
-    CacheImage,
-    TRGIndex,
-    active_chunks_by_entity,
-    build_adjacency,
-    chunk_line_span,
-    conflict_cost_scan,
-)
-from .compound import CompoundMerger, CompoundNode
+from .cache_struct import TRGIndex, chunk_line_span
+from .compound import CompoundNode
 from .global_order import GlobalLayout, LayoutAtom, order_globals
 from .heap_prep import HeapPrepResult, preprocess_heap_objects
 from .placement_engine import ArrayCompoundMerger, ArrayPlacementEngine
@@ -19,8 +12,6 @@ __all__ = [
     "ArrayCompoundMerger",
     "ArrayPlacementEngine",
     "CCDPPlacer",
-    "CacheImage",
-    "CompoundMerger",
     "CompoundNode",
     "DEFAULT_POPULARITY_CUTOFF",
     "GlobalLayout",
@@ -30,10 +21,7 @@ __all__ = [
     "PlacementMap",
     "PlacementStats",
     "TRGIndex",
-    "active_chunks_by_entity",
-    "build_adjacency",
     "chunk_line_span",
-    "conflict_cost_scan",
     "order_globals",
     "preprocess_heap_objects",
 ]

@@ -7,18 +7,12 @@ ID is mapped to this location in the cache" (paper, Section 3.3).  The
 conflict cost of co-locating two chunks in one cache block is the TRGplace
 edge weight between them.
 
-``conflict_cost_scan`` implements the inner loop of Figure 2: trying every
-cache-line start location for a moving group of chunks against a fixed
-group, returning the location of minimum predicted conflict.  Rather than
-literally walking 256 x 256 line pairs, it iterates the TRG edges that
-cross from the moving set to the fixed set.  A chunk's line span is a
-*contiguous* circular interval, so the number of (fixed line, moving
-line) collisions at each candidate start is the convolution of two
-interval indicators — a trapezoid over the start offset.  Each edge
-therefore contributes just four signed deltas to a second-difference
-array; two cumulative sums and a circular fold then yield the whole cost
-vector exactly, in O(edges + lines) per scan instead of
-O(edges x span^2).
+:func:`chunk_line_span` maps one chunk of a placed entity onto the cache
+sets it occupies, and :class:`TRGIndex` lays the TRGplace edges out as a
+CSR adjacency over a dense (entity, chunk) pair universe, which the
+vectorized Figure 2 scan
+(:class:`~repro.core.placement_engine.ArrayPlacementEngine`) gathers
+from.
 """
 
 from __future__ import annotations
@@ -72,81 +66,21 @@ def chunk_line_span(
     return tuple((line % num_sets) for line in range(first_line, last_line + 1))
 
 
-class CacheImage:
-    """Chunk-to-line occupancy map for a group of placed entities.
-
-    ``pairs`` maps each (entity, chunk) pair to the tuple of cache lines
-    it occupies under the group's current offsets.  Only *active* chunks —
-    those that appear in the TRG — are tracked: chunks with no temporal
-    relationships can never contribute conflict cost.
-    """
-
-    def __init__(self, config: CacheConfig, chunk_size: int):
-        self.config = config
-        self.chunk_size = chunk_size
-        self.pairs: dict[PairKey, tuple[int, ...]] = {}
-
-    def add_entity(
-        self,
-        eid: int,
-        size: int,
-        cache_offset: int,
-        active_chunks: tuple[int, ...],
-    ) -> None:
-        """Map ``active_chunks`` of entity ``eid`` at ``cache_offset``."""
-        for chunk in active_chunks:
-            self.pairs[(eid, chunk)] = chunk_line_span(
-                cache_offset, size, chunk, self.chunk_size, self.config
-            )
-
-    def lines_in_use(self) -> set[int]:
-        """All cache lines with at least one mapped chunk."""
-        used: set[int] = set()
-        for span in self.pairs.values():
-            used.update(span)
-        return used
-
-
-def build_adjacency(
-    profile: Profile,
-) -> dict[PairKey, list[tuple[PairKey, int]]]:
-    """Index TRGplace edges by endpoint for fast cost evaluation."""
-    adjacency: dict[PairKey, list[tuple[PairKey, int]]] = {}
-    for (pair_a, pair_b), weight in profile.trg.items():
-        adjacency.setdefault(pair_a, []).append((pair_b, weight))
-        if pair_b != pair_a:
-            adjacency.setdefault(pair_b, []).append((pair_a, weight))
-    return adjacency
-
-
-def active_chunks_by_entity(profile: Profile) -> dict[int, tuple[int, ...]]:
-    """Chunks of each entity that participate in at least one TRG edge.
-
-    Every entity is guaranteed at least chunk 0 so that entities with no
-    edges still occupy their starting line in cost evaluations.
-    """
-    chunks: dict[int, set[int]] = {eid: {0} for eid in profile.entities}
-    for (pair_a, pair_b) in profile.trg:
-        chunks.setdefault(pair_a[0], {0}).add(pair_a[1])
-        chunks.setdefault(pair_b[0], {0}).add(pair_b[1])
-    return {eid: tuple(sorted(cs)) for eid, cs in chunks.items()}
-
-
 class TRGIndex:
     """CSR adjacency over TRGplace edges with a dense pair universe.
 
     The pair universe covers every (entity, chunk) pair that participates
-    in at least one TRG edge plus chunk 0 of every entity — exactly the
-    pairs :func:`active_chunks_by_entity` would report.  Pairs are sorted
+    in at least one TRG edge plus chunk 0 of every entity (chunks with no
+    temporal relationships can never contribute conflict cost, and
+    chunk 0 keeps an edgeless entity on its starting line).  Pairs are sorted
     by packed ``(eid << 32) | chunk`` key, so each entity's pairs occupy
     one contiguous index range and its active chunks come out ascending.
 
-    The edge table is the same graph :func:`build_adjacency` builds as a
-    dict of lists — each undirected edge appears in both endpoints' rows,
-    self-loops in one — but laid out as three flat arrays (``indptr``,
-    ``nbr``, ``wt``), so one placement builds it once with vectorized
-    passes and every conflict scan gathers edge slices without touching a
-    Python-level dict.
+    Each undirected edge appears in both endpoints' rows, self-loops in
+    one, laid out as three flat arrays (``indptr``, ``nbr``, ``wt``), so
+    one placement builds it once with vectorized passes and every
+    conflict scan gathers edge slices without touching a Python-level
+    dict.
 
     Indexes built with :meth:`from_edges` own their edge dict and support
     :meth:`apply_edge_deltas` — the adaptive engine's incremental
@@ -174,8 +108,7 @@ class TRGIndex:
         Unlike the profile constructor, the resulting index may be
         mutated through :meth:`apply_edge_deltas`.  ``entity_ids`` should
         cover every entity the index will ever carry edges for, so that
-        chunk 0 of each is always part of the pair universe (matching
-        :func:`active_chunks_by_entity`).
+        chunk 0 of each is always part of the pair universe.
         """
         index = cls.__new__(cls)
         index._edges = dict(edges)
@@ -335,103 +268,3 @@ class TRGIndex:
         """Active chunks of one entity, ascending (chunk 0 always present)."""
         lo, hi = self._entity_range[eid]
         return tuple(int(c) for c in self.pair_chunk[lo:hi])
-
-
-def conflict_cost_scan(
-    fixed: dict[PairKey, tuple[int, ...]],
-    moving: dict[PairKey, tuple[int, ...]],
-    adjacency: dict[PairKey, list[tuple[PairKey, int]]],
-    num_lines: int,
-    preferred_start: int = 0,
-) -> tuple[int, int]:
-    """Find the min-conflict start line for ``moving`` against ``fixed``.
-
-    Implements the Figure 2 scan: for every start location ``i`` (in cache
-    lines), the cost is the sum of TRGplace weights between every fixed
-    chunk and every moving chunk that would share a cache line.  Ties are
-    broken toward ``preferred_start`` in scan order, matching the paper's
-    ``cost < best_cost`` strict-improvement loop.
-
-    Returns:
-        ``(best_start_line, best_cost)``.
-    """
-    # Two chunks share a line when the moving group starts at
-    # (fixed_line - moving_line) mod num_lines.  With contiguous spans of
-    # lengths sf and sm starting at F and M, the collision count per
-    # start offset is the trapezoid conv(1_sf, 1_sm) beginning at
-    # F - (M + sm - 1): its second difference is +1, -1, -1, +1 at
-    # offsets 0, sf, sm, sf + sm, so each edge costs four delta updates
-    # instead of sf * sm scatter increments.
-    interval_cache: dict[tuple[int, ...], bool] = {}
-
-    def is_interval(span: tuple[int, ...]) -> bool:
-        """Whether ``span`` lists consecutive lines (mod ``num_lines``)."""
-        cached = interval_cache.get(span)
-        if cached is None:
-            start = span[0]
-            cached = all(
-                line % num_lines == (start + i) % num_lines
-                for i, line in enumerate(span)
-            )
-            interval_cache[span] = cached
-        return cached
-
-    width = 2
-    deltas: list[tuple[int, int, int, int]] = []
-    for moving_pair, moving_span in moving.items():
-        if not moving_span:
-            continue
-        sm = len(moving_span)
-        base = moving_span[0] + sm - 1
-        moving_ok = is_interval(moving_span)
-        for other_pair, weight in adjacency.get(moving_pair, ()):
-            fixed_span = fixed.get(other_pair)
-            if not fixed_span:
-                continue
-            if moving_ok and is_interval(fixed_span):
-                sf = len(fixed_span)
-                deltas.append(
-                    ((fixed_span[0] - base) % num_lines, sf, sm, weight)
-                )
-                if sf + sm > width:
-                    width = sf + sm
-            else:
-                # Arbitrary span tuples (not produced by
-                # ``chunk_line_span``, but allowed by the API): fall back
-                # to one width-1 trapezoid per colliding line pair.
-                for moving_line in moving_span:
-                    for fixed_line in fixed_span:
-                        deltas.append(
-                            (
-                                (fixed_line - moving_line) % num_lines,
-                                1,
-                                1,
-                                weight,
-                            )
-                        )
-    pref = preferred_start % num_lines
-    if not deltas:
-        return pref, 0
-    starts, sfs, sms, weights = (
-        np.array(column, dtype=np.int64) for column in zip(*deltas)
-    )
-    # Scatter the second differences into a linear buffer long enough for
-    # every trapezoid (start < num_lines, extent <= width), double-cumsum
-    # to materialize the trapezoids, then fold the buffer back onto the
-    # circle of start positions.
-    buffer_rows = (num_lines + width) // num_lines + 1
-    second = np.zeros(buffer_rows * num_lines, dtype=np.int64)
-    np.add.at(second, starts, weights)
-    np.add.at(second, starts + sfs, -weights)
-    np.add.at(second, starts + sms, -weights)
-    np.add.at(second, starts + sfs + sms, weights)
-    cost = (
-        np.cumsum(np.cumsum(second))
-        .reshape(buffer_rows, num_lines)
-        .sum(axis=0)
-    )
-    # First minimum in (preferred_start, preferred_start + 1, ...) scan
-    # order, matching the strict-improvement loop of Figure 2.
-    rotated = np.concatenate((cost[pref:], cost[:pref]))
-    step = int(np.argmin(rotated))
-    return (pref + step) % num_lines, int(rotated[step])

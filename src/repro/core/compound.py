@@ -1,24 +1,18 @@
-"""Compound nodes and the Phase 6 merge step (paper, Figure 2).
+"""Compound nodes, the unit of the Phase 6 merge (paper, Figure 2).
 
 A *compound node* is "a set of objects that have been grouped together in
 the cache during data placement" (Phase 3).  Member entities carry fixed
-relative byte offsets; merging two nodes scans every cache-line start
-location for the incoming node, picks the minimum-conflict location
-against the already-placed node and the fixed ``Stack_Const`` image, and
-coalesces the TRGselect edges of the merged pair.
+relative byte offsets; merging two nodes
+(:class:`~repro.core.placement_engine.ArrayCompoundMerger`) scans every
+cache-line start location for the incoming node, picks the
+minimum-conflict location against the already-placed node and the fixed
+``Stack_Const`` image, and coalesces the TRGselect edges of the merged
+pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from ..cache.config import CacheConfig
-from .cache_struct import (
-    CacheImage,
-    PairKey,
-    chunk_line_span,
-    conflict_cost_scan,
-)
 
 
 @dataclass
@@ -42,117 +36,3 @@ class CompoundNode:
     def entities(self) -> list[int]:
         """Member entity ids."""
         return list(self.offsets)
-
-
-class CompoundMerger:
-    """Implements ``merge_compound_nodes`` over a fixed background image.
-
-    Args:
-        config: Target cache geometry.
-        chunk_size: TRG chunk granularity.
-        stack_const: The ``Stack_Const`` cache image from Phase 2.
-        adjacency: TRGplace edges indexed by endpoint.
-        entity_sizes: Placement sizes per entity id.
-        active_chunks: TRG-active chunk tuples per entity id.
-    """
-
-    def __init__(
-        self,
-        config: CacheConfig,
-        chunk_size: int,
-        stack_const: CacheImage,
-        adjacency: dict[PairKey, list[tuple[PairKey, int]]],
-        entity_sizes: dict[int, int],
-        active_chunks: dict[int, tuple[int, ...]],
-    ):
-        self.config = config
-        self.chunk_size = chunk_size
-        self.stack_const = stack_const
-        self.adjacency = adjacency
-        self.entity_sizes = entity_sizes
-        self.active_chunks = active_chunks
-        self.merge_count = 0
-        self.anchor_count = 0
-        self.scan_count = 0
-
-    # -- helpers -----------------------------------------------------------
-
-    def _node_pairs(self, node: CompoundNode) -> dict[PairKey, tuple[int, ...]]:
-        """Map every active chunk of ``node`` to the lines it occupies."""
-        pairs: dict[PairKey, tuple[int, ...]] = {}
-        for eid, offset in node.offsets.items():
-            size = self.entity_sizes[eid]
-            for chunk in self.active_chunks.get(eid, (0,)):
-                pairs[(eid, chunk)] = chunk_line_span(
-                    offset, size, chunk, self.chunk_size, self.config
-                )
-        return pairs
-
-    def anchor(self, node: CompoundNode) -> int:
-        """Place an unanchored node against the ``Stack_Const`` image.
-
-        Returns the conflict cost of the chosen location.  Corresponds to
-        Figure 2's "find location for n1 in relationship to stack and
-        constants".
-        """
-        moving = self._node_pairs(node)
-        self.scan_count += 1
-        start, cost = conflict_cost_scan(
-            self.stack_const.pairs,
-            moving,
-            self.adjacency,
-            self.config.num_sets,
-            preferred_start=0,
-        )
-        shift = start * self.config.line_size
-        for eid in node.offsets:
-            node.offsets[eid] += shift
-        node.anchored = True
-        self.anchor_count += 1
-        return cost
-
-    def merge(self, node1: CompoundNode, node2: CompoundNode) -> int:
-        """Merge ``node2`` into ``node1`` at the least-conflict offset.
-
-        ``node1`` is anchored first if needed.  ``node2``'s relative
-        layout is preserved; its entities join ``node1`` with adjusted
-        absolute offsets.  Returns the conflict cost of the chosen
-        location.
-        """
-        if not node1.anchored:
-            self.anchor(node1)
-        fixed = self._node_pairs(node1)
-        fixed.update(self.stack_const.pairs)
-        moving = self._node_pairs(node2)
-        preferred = self._initial_scan_point(node1)
-        self.scan_count += 1
-        start, cost = conflict_cost_scan(
-            fixed,
-            moving,
-            self.adjacency,
-            self.config.num_sets,
-            preferred_start=preferred,
-        )
-        shift = start * self.config.line_size
-        for eid, offset in node2.offsets.items():
-            node1.offsets[eid] = offset + shift
-        node2.offsets.clear()
-        node2.anchored = True
-        self.merge_count += 1
-        return cost
-
-    def _initial_scan_point(self, node: CompoundNode) -> int:
-        """``choose_intelligent_initial_start_point`` of Figure 2.
-
-        Start scanning just past the node's highest occupied line: absent
-        conflicting edges, this packs nodes densely instead of piling every
-        zero-cost node onto line 0.
-        """
-        if not node.offsets:
-            return 0
-        line_size = self.config.line_size
-        highest = 0
-        for eid, offset in node.offsets.items():
-            end = offset + self.entity_sizes[eid]
-            highest = max(highest, -(-end // line_size))
-        return highest % self.config.num_sets

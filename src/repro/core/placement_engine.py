@@ -1,12 +1,11 @@
 """Array-backed placement engine: vectorized Figure 2 conflict scans.
 
-The scalar placement path (:class:`~repro.core.compound.CompoundMerger` +
-:func:`~repro.core.cache_struct.conflict_cost_scan`) rebuilds each
-compound node's (entity, chunk) -> line-span map from dicts on every
-merge and walks the TRG edge lists in Python.  This module keeps the
-same state as flat numpy arrays over the :class:`~repro.core.\
-cache_struct.TRGIndex` pair universe and turns every conflict scan into
-gathers plus one scatter/double-cumsum over a reused buffer:
+A literal Figure 2 scan keeps each compound node's (entity, chunk) ->
+line-span map in dicts, rebuilds it on every merge and walks the TRG
+edge lists in Python.  This module keeps the same state as flat numpy
+arrays over the :class:`~repro.core.cache_struct.TRGIndex` pair universe
+and turns every conflict scan into gathers plus one scatter/double-cumsum
+over a reused buffer:
 
 * ``start_line[p]`` / ``span_len[p]`` — the circular line interval chunk
   ``p`` occupies under its entity's current cache offset.  Spans produced
@@ -23,8 +22,9 @@ gathers plus one scatter/double-cumsum over a reused buffer:
 Merging node2 into node1 only gathers the CSR rows of node2's pairs —
 O(deg(node2)) — because every edge that matters to the scan is incident
 to the moving side.  The cost vector is the exact integer trapezoid sum
-of the scalar path, so placements are bit-identical (asserted across all
-nine workloads by ``tests/test_placement_parity.py``).
+of the literal scan, so placements are bit-identical to it (asserted
+against a dict-based reference placer across all nine workloads by
+``tests/test_placement_parity.py``).
 
 With a non-trivial :class:`~repro.core.cost_model.ConflictCostModel`
 the scan generalizes to set-index collisions under associativity: the
@@ -86,7 +86,6 @@ class ArrayPlacementEngine:
         self.start_line = np.zeros(n, dtype=np.int64)
         self.span_len = np.ones(n, dtype=np.int64)
         self.owner = np.full(n, UNPLACED, dtype=np.int64)
-        self.scan_count = 0
         # Reused second-difference scatter buffer; grows monotonically.
         self._second = np.zeros(4 * self.num_lines, dtype=np.int64)
         self.cost_model = cost_model or ConflictCostModel()
@@ -249,15 +248,15 @@ class ArrayPlacementEngine:
 
         The fixed side is every neighbour owned by :data:`FIXED`, plus
         ``include_owner``'s pairs when given (the anchored node a merge
-        scans against).  Exactly reproduces
-        :func:`~repro.core.cache_struct.conflict_cost_scan`: same
-        integer trapezoid cost vector, same preferred-start scan-order
-        tie-breaking.
+        scans against).  The cost of start line ``i`` is the sum of
+        TRGplace weights between every fixed and every moving chunk that
+        would share a cache line; ties go to the first minimum in
+        scan order from ``preferred_start``, matching the paper's
+        ``cost < best_cost`` strict-improvement loop.
 
         Returns:
             ``(best_start_line, best_cost)``.
         """
-        self.scan_count += 1
         num_lines = self.num_lines
         pref = preferred_start % num_lines
         indptr = self.index.indptr
@@ -400,12 +399,13 @@ class ArrayPlacementEngine:
 
 
 class ArrayCompoundMerger:
-    """Drop-in :class:`~repro.core.compound.CompoundMerger` on the engine.
+    """``merge_compound_nodes`` of Figure 2 on the engine.
 
-    Same ``anchor``/``merge`` contract and bit-identical decisions, but
-    node pair spans live in the engine's flat arrays (updated by constant
-    shifts) and each node's Figure 2 initial scan point is maintained
-    incrementally instead of being recomputed from the offsets dict.
+    ``anchor`` places a node against the ``Stack_Const`` image;
+    ``merge`` places node2 at its least-conflict offset against node1
+    plus ``Stack_Const``.  Node pair spans live in the engine's flat
+    arrays (updated by constant shifts) and each node's Figure 2
+    initial scan point is maintained incrementally.
 
     Args:
         engine: Shared span/owner state; constants and the stack must

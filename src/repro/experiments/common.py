@@ -27,10 +27,9 @@ is persisted for the next run.
 once: with ``jobs > 1`` the missing entries are planned as one job graph
 and run by :func:`repro.sched.executor.run_experiments_dag` (pooled
 under a private temporary store when no store is installed); the
-per-program getters then hit the cache.  :func:`set_parallel_jobs` and
-:func:`set_engine` configure the default fan-out width and simulation
-engine for the whole harness (the ``repro tables --jobs`` /
-``repro bench`` plumbing).
+per-program getters then hit the cache.  :func:`set_parallel_jobs`
+configures the default fan-out width for the whole harness (the
+``repro tables --jobs`` / ``repro bench`` plumbing).
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ _trace_cache_bytes = 0
 _trace_persisted: set[tuple[str, str, str]] = set()
 
 _parallel_jobs = 1
-_engine = "auto"
 
 
 def paper_cache() -> CacheConfig:
@@ -97,25 +95,6 @@ def set_parallel_jobs(jobs: int) -> None:
 def parallel_jobs() -> int:
     """The configured default experiment fan-out width."""
     return _parallel_jobs
-
-
-def set_engine(engine: str) -> None:
-    """Select the harness-wide simulation engine (``auto`` or ``scalar``).
-
-    ``auto`` (the default) records traces once per (workload, input) and
-    derives everything from them with the batched kernels; ``scalar``
-    restores the seed's per-event pipeline — used by ``repro bench`` as
-    the baseline arm and available for debugging.
-    """
-    if engine not in ("auto", "scalar"):
-        raise ValueError(f"unknown engine: {engine!r}")
-    global _engine
-    _engine = engine
-
-
-def current_engine() -> str:
-    """The configured harness-wide engine."""
-    return _engine
 
 
 def _config_key(config: CacheConfig) -> tuple[int, int, int]:
@@ -188,9 +167,9 @@ def cached_placement(
     """Profile and place one program's training input (memoized).
 
     Tables 2 and 4 (and the paging and figure studies) all train on the
-    same input; under the batched engine the profile is a deterministic
-    function of the recorded training trace, so it and the placement are
-    computed once and shared.
+    same input; the profile is a deterministic function of the recorded
+    training trace, so it and the placement are computed once and
+    shared.
     """
     workload = make_workload(name)
     train = train_input or workload.train_input
@@ -199,7 +178,7 @@ def cached_placement(
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             # Warm path: serve both artifacts from the store without
             # recording (= running) the training input at all.
             result = store_stages.try_load_placement_pair(
@@ -208,12 +187,11 @@ def cached_placement(
                 train,
                 config,
                 workload.place_heap if place_heap is None else place_heap,
-                "array",
             )
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = cached_trace(name, train) if _engine != "scalar" else None
+        trace = cached_trace(name, train)
         result = build_placement(
             workload, train, config, place_heap=place_heap, trace=trace
         )
@@ -265,7 +243,6 @@ def cached_experiment(
             raise ShardFailedError(name, failure)
         workload = make_workload(name)
         test = workload.train_input if same_input else workload.test_input
-        batched = _engine != "scalar"
 
         def placement_provider(wl: Workload, train: str, _trace):
             return cached_placement(wl.name, train, config)
@@ -277,9 +254,8 @@ def cached_experiment(
             include_random=include_random,
             classify=classify,
             track_pages=track_pages,
-            engine=_engine,
-            trace_provider=_trace_provider if batched else None,
-            placement_provider=placement_provider if batched else None,
+            trace_provider=_trace_provider,
+            placement_provider=placement_provider,
         )
         _experiment_cache[key] = result
     return result
@@ -299,9 +275,8 @@ def prefetch_experiments(
     Runs every program whose :func:`cached_experiment` entry is missing
     through :func:`repro.sched.executor.run_experiments_dag` with
     ``jobs`` workers (default: :func:`parallel_jobs`) and merges the
-    results into the memo cache.  With one job, at most one missing
-    program, or the scalar engine this is a no-op — the per-program
-    getters compute inline.
+    results into the memo cache.  With one job or at most one missing
+    program this is a no-op — the per-program getters compute inline.
 
     Under a best-effort retry policy a shard that exhausts its retries
     comes back as a ``None`` hole; the shard is recorded as *failed* so
@@ -362,8 +337,7 @@ def prefetch_experiment_batches(batches: list[dict], jobs: int | None = None) ->
                     ),
                 )
             )
-    # Graph jobs are trace-derived: the scalar engine computes inline.
-    if jobs <= 1 or len(entries) <= 1 or _engine == "scalar":
+    if jobs <= 1 or len(entries) <= 1:
         return
     from ..sched.executor import run_experiments_dag
 
@@ -392,16 +366,14 @@ def cached_stats(name: str, input_name: str | None = None) -> WorkloadStats:
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             result = store_stages.try_load_workload_stats(
                 store, name, input_name
             )
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = (
-            cached_trace(name, input_name) if _engine != "scalar" else None
-        )
+        trace = cached_trace(name, input_name)
         result = collect_stats(workload, input_name, trace=trace)
         _experiment_cache[key] = result
     return result
@@ -420,7 +392,7 @@ def cached_natural_run(
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             result = store_stages.try_load_measure(
                 store, name, input_name, config, {"kind": "natural"},
                 classify=False, track_pages=False,
@@ -428,16 +400,13 @@ def cached_natural_run(
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = (
-            cached_trace(name, input_name) if _engine != "scalar" else None
-        )
+        trace = cached_trace(name, input_name)
         result = measure(
             workload,
             input_name,
             NaturalResolver(),
             config,
             classify=False,
-            engine=_engine,
             trace=trace,
         )
         _experiment_cache[key] = result
@@ -458,7 +427,7 @@ def cached_random_run(
     result = _experiment_cache.get(key)
     if result is None:
         store = current_store()
-        if store is not None and _engine != "scalar":
+        if store is not None:
             result = store_stages.try_load_measure(
                 store, name, input_name, config,
                 store_stages.resolver_policy(RandomResolver(seed=seed)),
@@ -467,16 +436,13 @@ def cached_random_run(
             if result is not None:
                 _experiment_cache[key] = result
                 return result
-        trace = (
-            cached_trace(name, input_name) if _engine != "scalar" else None
-        )
+        trace = cached_trace(name, input_name)
         result = measure(
             workload,
             input_name,
             RandomResolver(seed=seed),
             config,
             classify=False,
-            engine=_engine,
             trace=trace,
         )
         _experiment_cache[key] = result

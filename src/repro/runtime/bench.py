@@ -1,22 +1,19 @@
-"""End-to-end pipeline benchmark: batched engine vs the scalar baseline.
+"""End-to-end pipeline benchmark and raw-kernel microbenchmark.
 
 ``repro bench`` times the paper's table pipeline (Table 1 statistics and
-the Table 2/4 miss-rate tables) twice over the same programs:
+the Table 2/4 miss-rate tables) over the benchmark programs: each
+(workload, input) is recorded once as structure-of-arrays columns, and
+statistics, profiles, and all placement measurements are derived from
+the columns by the vectorized kernels, optionally fanning experiments
+out across worker processes.
 
-* **scalar** — the seed's per-event pipeline: every table re-runs each
-  workload through per-event sinks and the scalar cache simulator.
-* **batched** — the batched engine: each (workload, input) is recorded
-  once as structure-of-arrays columns, and statistics, profiles, and all
-  placement measurements are derived from the columns by the vectorized
-  kernels, optionally fanning experiments out across worker processes.
-
-Both arms produce identical tables (the parity suite asserts equality of
-every statistic), so the wall-clock ratio is a pure engine speedup.  A
-raw-kernel microbenchmark (events/sec through the cache simulators on a
-recorded trace, for the direct-mapped, 4-way and classified kernels, each
-checked against the scalar simulator, plus profiling on the native TRG
-kernel checked against its Python fallback) is included for the
-per-event view.  Results are written as JSON, by default to
+A raw-kernel microbenchmark gives the per-event view: events/sec through
+the cache simulators on a recorded trace, for the direct-mapped, 4-way
+and classified kernels, each checked against the scalar
+:class:`~repro.cache.simulator.CacheSimulator` (the fallback when the
+native kernel cannot be built), plus profiling on the native TRG kernel
+checked against its Python fallback.  Either check raises on any
+divergence.  Results are written as JSON, by default to
 ``BENCH_pipeline.json``.
 """
 
@@ -45,7 +42,6 @@ from .scale import (  # noqa: F401  (re-exported: bench façade)
 #: Programs benchmarked by ``--quick`` (CI smoke) vs the full run.
 QUICK_PROGRAMS = ("deltablue", "espresso")
 DEFAULT_OUTPUT = "BENCH_pipeline.json"
-PLACEMENT_OUTPUT = "BENCH_placement.json"
 CACHE_OUTPUT = "BENCH_cache.json"
 DAG_OUTPUT = "BENCH_dag.json"
 
@@ -73,8 +69,7 @@ def _pipeline_events(programs: list[str]) -> int:
     and testing inputs, Table 2 (profile + two measurements of the
     training input), and Table 4 (profile the training input, measure
     the testing input twice) — five passes over the training references
-    and three over the testing references.  Both arms perform the same
-    logical work, so events/sec compares throughput directly.
+    and three over the testing references.
     """
     from ..experiments.common import cached_stats
 
@@ -88,15 +83,10 @@ def _pipeline_events(programs: list[str]) -> int:
     return total
 
 
-def _run_arm(engine: str, programs: list[str], jobs: int) -> dict[str, object]:
-    from ..experiments.common import (
-        clear_cache,
-        set_engine,
-        set_parallel_jobs,
-    )
+def _run_arm(programs: list[str], jobs: int) -> dict[str, object]:
+    from ..experiments.common import clear_cache, set_parallel_jobs
 
     clear_cache()
-    set_engine(engine)
     set_parallel_jobs(jobs)
     start = time.perf_counter()
     tables = _time_tables(programs)
@@ -232,19 +222,13 @@ def run_bench(
     programs: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, object]:
-    """Benchmark the table pipeline under both engines; write JSON.
+    """Benchmark the table pipeline and the raw kernels; write JSON.
 
     Returns the result dict (also written to ``output`` unless None):
-    per-table wall-clock for each arm, pipeline events/sec, the raw
-    kernel microbenchmark, and the headline ``speedup`` of the batched
-    arm over the scalar baseline.
+    per-table wall-clock of the pipeline arm, pipeline events/sec, and
+    the raw kernel microbenchmark.
     """
-    from ..experiments.common import (
-        all_programs,
-        clear_cache,
-        set_engine,
-        set_parallel_jobs,
-    )
+    from ..experiments.common import all_programs, clear_cache, set_parallel_jobs
 
     say = progress or (lambda _message: None)
     if programs is None:
@@ -252,115 +236,17 @@ def run_bench(
 
     say(f"kernel microbench ({programs[0]})...")
     kernel = _kernel_microbench(programs[0])
-    say("scalar pipeline arm...")
-    scalar_arm = _run_arm("scalar", programs, jobs=1)
     say("batched pipeline arm...")
-    batched_arm = _run_arm("auto", programs, jobs=jobs)
+    batched_arm = _run_arm(programs, jobs=jobs)
     clear_cache()
-    set_engine("auto")
     set_parallel_jobs(1)
 
     result: dict[str, object] = {
         "quick": quick,
         "programs": programs,
         "jobs": jobs,
-        "arms": {"scalar": scalar_arm, "batched": batched_arm},
+        "arms": {"batched": batched_arm},
         "kernel": kernel,
-        "speedup": (
-            scalar_arm["total_s"] / batched_arm["total_s"]
-            if batched_arm["total_s"]
-            else 0.0
-        ),
-    }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(result, handle, indent=2)
-        result["output"] = output
-    return result
-
-
-def run_placement_bench(
-    quick: bool = False,
-    output: str | None = PLACEMENT_OUTPUT,
-    rounds: int = 3,
-    programs: list[str] | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, object]:
-    """Benchmark the placement pass: array engine vs the scalar baseline.
-
-    Profiles each program's training input once (from a recorded trace,
-    outside the timed region), then times ``CCDPPlacer.place()`` under
-    both engines.  Each (program, engine, round) gets a *fresh* profile
-    object so per-profile memos (TRG index, popularity, affinity) are
-    rebuilt inside the timed region — the ratio is a pure engine
-    comparison of the same cold-start work.  The two engines' placement
-    maps are asserted identical before anything is timed.
-
-    Returns the result dict (also written to ``output`` unless None).
-    """
-    from ..core.algorithm import CCDPPlacer
-    from ..experiments.common import all_programs, cached_trace, paper_cache
-    from ..profiling.batch import profile_trace
-
-    say = progress or (lambda _message: None)
-    if programs is None:
-        programs = list(QUICK_PROGRAMS) if quick else all_programs()
-    config = paper_cache()
-
-    def fresh_profile(name: str):
-        workload = make_workload(name)
-        trace = cached_trace(name, workload.train_input)
-        return workload, profile_trace(trace, cache_config=config)
-
-    arms: dict[str, dict[str, object]] = {
-        "scalar": {"per_program_s": {}},
-        "array": {"per_program_s": {}},
-    }
-    parity = True
-    for name in programs:
-        say(f"placement bench: {name}...")
-        workload, profile = fresh_profile(name)
-        maps = {}
-        for engine in ("scalar", "array"):
-            maps[engine] = CCDPPlacer(
-                profile_trace(
-                    cached_trace(name, workload.train_input), cache_config=config
-                ),
-                config,
-                place_heap=workload.place_heap,
-                engine=engine,
-            ).place()
-        parity = parity and maps["scalar"] == maps["array"]
-        for engine in ("scalar", "array"):
-            best = None
-            for _ in range(max(1, rounds)):
-                _workload, profile = fresh_profile(name)
-                start = time.perf_counter()
-                CCDPPlacer(
-                    profile, config, place_heap=workload.place_heap, engine=engine
-                ).place()
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            arms[engine]["per_program_s"][name] = best
-    for arm in arms.values():
-        arm["total_s"] = sum(arm["per_program_s"].values())
-
-    result: dict[str, object] = {
-        "quick": quick,
-        "programs": programs,
-        "rounds": rounds,
-        "cache": {
-            "size": config.size,
-            "line_size": config.line_size,
-            "associativity": config.associativity,
-        },
-        "arms": arms,
-        "parity": parity,
-        "speedup": (
-            arms["scalar"]["total_s"] / arms["array"]["total_s"]
-            if arms["array"]["total_s"]
-            else 0.0
-        ),
     }
     if output:
         with open(output, "w") as handle:
@@ -609,54 +495,16 @@ def render_cache_bench(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def render_placement_bench(result: dict[str, object]) -> str:
-    """Human-readable summary of a :func:`run_placement_bench` result."""
-    scalar = result["arms"]["scalar"]
-    array = result["arms"]["array"]
-    lines = [
-        f"placement pass ({len(result['programs'])} programs, "
-        f"best of {result['rounds']} rounds):"
-    ]
-    for name in result["programs"]:
-        s = scalar["per_program_s"][name]
-        a = array["per_program_s"][name]
-        ratio = s / a if a else 0.0
-        lines.append(
-            f"  {name:<10} scalar {s * 1000:8.2f}ms"
-            f"   array {a * 1000:8.2f}ms   -> {ratio:5.2f}x"
-        )
-    lines.append(
-        f"  {'total':<10} scalar {scalar['total_s'] * 1000:8.2f}ms"
-        f"   array {array['total_s'] * 1000:8.2f}ms"
-        f"   -> {result['speedup']:.2f}x"
-    )
-    lines.append(f"  parity: {'identical maps' if result['parity'] else 'MISMATCH'}")
-    if "output" in result:
-        lines.append(f"wrote {result['output']}")
-    return "\n".join(lines)
-
-
 def render_bench(result: dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_bench` result."""
     lines = []
-    scalar = result["arms"]["scalar"]
     batched = result["arms"]["batched"]
     kernel = result["kernel"]
     lines.append(f"pipeline ({', '.join(result['programs'])}; jobs={result['jobs']}):")
-    for label in scalar["tables_s"]:
-        lines.append(
-            f"  {label:<8} scalar {scalar['tables_s'][label]:6.2f}s"
-            f"   batched {batched['tables_s'][label]:6.2f}s"
-        )
-    lines.append(
-        f"  {'total':<8} scalar {scalar['total_s']:6.2f}s"
-        f"   batched {batched['total_s']:6.2f}s"
-        f"   -> {result['speedup']:.2f}x"
-    )
-    lines.append(
-        f"  events/sec: scalar {scalar['events_per_sec']:,.0f}"
-        f"   batched {batched['events_per_sec']:,.0f}"
-    )
+    for label, seconds in batched["tables_s"].items():
+        lines.append(f"  {label:<8} {seconds:6.2f}s")
+    lines.append(f"  {'total':<8} {batched['total_s']:6.2f}s")
+    lines.append(f"  events/sec: {batched['events_per_sec']:,.0f}")
     lines.append(
         f"kernel ({kernel['program']}, {kernel['events']} events): "
         f"scalar {kernel['scalar_events_per_sec']:,.0f} ev/s, "

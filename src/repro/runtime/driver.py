@@ -18,7 +18,7 @@ from ..cache.batch import BatchCacheSimulator
 from ..obs import invariants
 from ..obs import telemetry as obs
 from ..cache.config import CacheConfig
-from ..cache.simulator import CacheSimulator, CacheStats
+from ..cache.simulator import CacheStats
 from ..core.algorithm import CCDPPlacer
 from ..core.placement_map import PlacementMap
 from ..profiling.batch import profile_trace
@@ -29,7 +29,7 @@ from ..store import stages as store_stages
 from ..trace.buffer import DEFAULT_CHUNK_EVENTS, TraceRecorder, record_trace
 from ..trace.stats import StatsSink, WorkloadStats
 from ..workloads.base import Workload
-from .replay import BatchReplaySink, ReplaySink
+from .replay import BatchReplaySink
 from .resolvers import (
     AddressResolver,
     CCDPResolver,
@@ -152,7 +152,6 @@ def measure_trace(
     cache_config: CacheConfig | None = None,
     classify: bool = False,
     track_pages: bool = False,
-    parity: bool = False,
 ) -> MeasureResult:
     """Simulate a recorded trace under a placement, batched.
 
@@ -163,17 +162,16 @@ def measure_trace(
     chunks of a memmapped trace are dropped from the resident set
     (:meth:`TraceRecorder.advise_done`), so simulation RSS stays at
     one-chunk working set regardless of trace length.  Results equal
-    the scalar :func:`measure` of the same run.
+    a live :func:`measure` of the same run.
 
     With an artifact store installed, the finished statistics are served
     from (and persisted to) the store, keyed by the trace fingerprint
-    and the resolver's placement policy; ``parity`` runs bypass the
-    store so the scalar/batched cross-check always actually executes.
+    and the resolver's placement policy.
     """
 
     def compute() -> MeasureResult:
         with obs.span("simulate", events=trace.events):
-            engine = BatchCacheSimulator(cache_config, classify=classify, parity=parity)
+            engine = BatchCacheSimulator(cache_config, classify=classify)
             pages = PageTracker() if track_pages else None
             obj, _offset, size, cat, store = trace.columns()
             for start, end, addr_chunk in trace.iter_resolved(
@@ -189,14 +187,12 @@ def measure_trace(
                 if pages is not None:
                     pages.touch_batch(addr_chunk, size[start:end])
                 trace.advise_done(start, end)
-            if parity:
-                engine.assert_parity()
             paging = PagingSummary.from_tracker(pages) if pages else None
             stats = engine.stats
         return MeasureResult(cache=stats, paging=paging)
 
     artifact_store = current_store()
-    if artifact_store is None or parity:
+    if artifact_store is None:
         result = compute()
     else:
         result = store_stages.cached_measure(
@@ -219,23 +215,21 @@ def measure(
     cache_config: CacheConfig | None = None,
     classify: bool = False,
     track_pages: bool = False,
-    engine: str = "auto",
     trace: TraceRecorder | None = None,
 ) -> MeasureResult:
     """Simulate one input under a placement and collect cache/page stats.
 
+    The workload runs live and streams its events through the batched
+    cache simulator via :class:`~repro.runtime.replay.BatchReplaySink`
+    (which falls back to the scalar simulator only when its native LRU
+    kernel, for set-associative or classified runs, cannot be loaded).
+
     Args:
-        engine: ``"auto"`` (default) streams events through the batched
-            engine via :class:`~repro.runtime.replay.BatchReplaySink`;
-            ``"scalar"`` keeps the per-event pipeline.  Both produce
-            identical results — the batched engine itself falls back to
-            the scalar simulator only when its native LRU kernel (for
-            set-associative or classified runs) cannot be loaded.
         trace: A recorded trace of the same (workload, input) run; when
             given, the workload is not re-run at all
             (:func:`measure_trace`).
     """
-    if trace is not None and engine != "scalar":
+    if trace is not None:
         return measure_trace(
             trace,
             resolver,
@@ -245,16 +239,9 @@ def measure(
         )
     pages = PageTracker() if track_pages else None
     with obs.span("simulate", input=input_name):
-        if engine == "scalar":
-            cache = CacheSimulator(cache_config, classify=classify)
-            sink: ReplaySink | BatchReplaySink = ReplaySink(resolver, cache, pages)
-            stats_source = cache
-        else:
-            batch = BatchCacheSimulator(cache_config, classify=classify)
-            sink = BatchReplaySink(resolver, batch, pages)
-            stats_source = batch
-        workload.run(sink, input_name)
-        stats = stats_source.stats
+        batch = BatchCacheSimulator(cache_config, classify=classify)
+        workload.run(BatchReplaySink(resolver, batch, pages), input_name)
+        stats = batch.stats
     invariants.maybe_check_cache_stats(stats, context="measure")
     paging = PagingSummary.from_tracker(pages) if pages else None
     return MeasureResult(cache=stats, paging=paging)
@@ -266,7 +253,6 @@ def build_placement(
     cache_config: CacheConfig | None = None,
     place_heap: bool | None = None,
     trace: TraceRecorder | None = None,
-    placement_engine: str = "array",
     cost_model: str = "direct",
     **profiler_kwargs,
 ) -> tuple[Profile, PlacementMap]:
@@ -276,7 +262,7 @@ def build_placement(
     both stage outputs are store-backed: the profile by trace
     fingerprint + profiler parameters, the placement map by those plus
     the geometry and placer configuration — so e.g. re-placing under a
-    different engine reuses the cached profile.  ``cost_model`` selects
+    different cost model reuses the cached profile.  ``cost_model`` selects
     the conflict-cost model (``direct``/``assoc``/``two-level``); the
     two-level calibration replay needs the recorded ``trace``.
     """
@@ -293,7 +279,6 @@ def build_placement(
             profile,
             cache_config=cache_config,
             place_heap=resolved_heap,
-            engine=placement_engine,
             cost_model=resolve_cost_model(cost_model, cache_config, trace),
         )
         return placer.place()
@@ -306,7 +291,6 @@ def build_placement(
         trace,
         cache_config,
         resolved_heap,
-        placement_engine,
         store_stages.profile_params(profiler_kwargs),
         compute,
         cost_model=cost_model,
@@ -324,7 +308,6 @@ def run_experiment(
     classify: bool = False,
     track_pages: bool = False,
     place_heap: bool | None = None,
-    engine: str = "auto",
     trace_provider: TraceProvider | None = None,
     placement_provider: Callable[
         [Workload, str, TraceRecorder], tuple[Profile, PlacementMap]
@@ -337,19 +320,17 @@ def run_experiment(
     "ideal" Table 2 configuration; distinct inputs reproduce the
     realistic Table 4 configuration.
 
-    With the default batched ``engine``, each distinct (workload, input)
-    is run *once* to record its trace; profiling and every placement
-    measurement are then derived from the recorded columns by the
-    vectorized kernels.  ``trace_provider`` lets callers share recorded
-    traces across experiments (see
+    Each distinct (workload, input) is run *once* to record its trace;
+    profiling and every placement measurement are then derived from the
+    recorded columns by the vectorized kernels.  ``trace_provider`` lets
+    callers share recorded traces across experiments (see
     :func:`repro.experiments.common.cached_trace`), and
     ``placement_provider`` likewise lets them reuse the (profile,
-    placement) pair derived from a shared training trace;
-    ``engine="scalar"`` restores the per-event pipeline.
+    placement) pair derived from a shared training trace.
     """
     train = train_input or workload.train_input
     test = test_input or workload.test_input
-    artifact_store = current_store() if engine != "scalar" else None
+    artifact_store = current_store()
     if artifact_store is not None:
         # Full-warm path: when every stage entry hits (keyed off the
         # recorded trace fingerprints), the experiment is reassembled
@@ -372,60 +353,50 @@ def run_experiment(
         if cached is not None:
             probe.commit()
             return cached
-    if engine == "scalar":
-        profile, placement = build_placement(
-            workload, train, cache_config, place_heap=place_heap
-        )
-        train_trace = test_trace = None
+    provider = trace_provider
+    if provider is None:
+        local: dict[str, TraceRecorder] = {}
+
+        def provider(wl: Workload, input_name: str) -> TraceRecorder:
+            if input_name not in local:
+                trace = None
+                if artifact_store is not None:
+                    # Attach the store's memmap artifact when one
+                    # exists: zero-copy, no workload run.
+                    from ..store import traces as store_traces
+
+                    trace = store_traces.load_trace(artifact_store, wl.name, input_name)
+                if trace is None:
+                    trace = record_trace(wl, input_name)
+                local[input_name] = trace
+            return local[input_name]
+
+    if artifact_store is not None:
+        # Persist every trace the provider serves — the fingerprint
+        # meta entry plus the memmap column artifact — so the next
+        # run (this process or any other) attaches instead of
+        # re-recording.  Idempotent when the artifact already exists.
+        from ..store import traces as store_traces
+
+        inner_provider = provider
+
+        def provider(wl: Workload, input_name: str) -> TraceRecorder:
+            trace = inner_provider(wl, input_name)
+            store_traces.remember_and_save(artifact_store, wl.name, input_name, trace)
+            return trace
+
+    train_trace = provider(workload, train)
+    if placement_provider is not None:
+        profile, placement = placement_provider(workload, train, train_trace)
     else:
-        provider = trace_provider
-        if provider is None:
-            local: dict[str, TraceRecorder] = {}
-
-            def provider(wl: Workload, input_name: str) -> TraceRecorder:
-                if input_name not in local:
-                    trace = None
-                    if artifact_store is not None:
-                        # Attach the store's memmap artifact when one
-                        # exists: zero-copy, no workload run.
-                        from ..store import traces as store_traces
-
-                        trace = store_traces.load_trace(
-                            artifact_store, wl.name, input_name
-                        )
-                    if trace is None:
-                        trace = record_trace(wl, input_name)
-                    local[input_name] = trace
-                return local[input_name]
-
-        if artifact_store is not None:
-            # Persist every trace the provider serves — the fingerprint
-            # meta entry plus the memmap column artifact — so the next
-            # run (this process or any other) attaches instead of
-            # re-recording.  Idempotent when the artifact already exists.
-            from ..store import traces as store_traces
-
-            inner_provider = provider
-
-            def provider(wl: Workload, input_name: str) -> TraceRecorder:
-                trace = inner_provider(wl, input_name)
-                store_traces.remember_and_save(
-                    artifact_store, wl.name, input_name, trace
-                )
-                return trace
-
-        train_trace = provider(workload, train)
-        if placement_provider is not None:
-            profile, placement = placement_provider(workload, train, train_trace)
-        else:
-            profile, placement = build_placement(
-                workload,
-                train,
-                cache_config,
-                place_heap=place_heap,
-                trace=train_trace,
-            )
-        test_trace = train_trace if test == train else provider(workload, test)
+        profile, placement = build_placement(
+            workload,
+            train,
+            cache_config,
+            place_heap=place_heap,
+            trace=train_trace,
+        )
+    test_trace = train_trace if test == train else provider(workload, test)
     with obs.span("measure.original"):
         original = measure(
             workload,
@@ -434,7 +405,6 @@ def run_experiment(
             cache_config,
             classify,
             track_pages,
-            engine=engine,
             trace=test_trace,
         )
     with obs.span("measure.ccdp"):
@@ -445,7 +415,6 @@ def run_experiment(
             cache_config,
             classify,
             track_pages,
-            engine=engine,
             trace=test_trace,
         )
     random_result = None
@@ -458,7 +427,6 @@ def run_experiment(
                 cache_config,
                 classify,
                 track_pages,
-                engine=engine,
                 trace=test_trace,
             )
     return ExperimentResult(

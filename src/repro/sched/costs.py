@@ -1,20 +1,19 @@
 """Cost priors for longest-estimated-first job dispatch.
 
 One heavy job dispatched last serializes the whole fan-out behind it
-(``compress`` places in ~220 ms while its siblings take ~1 ms per
-``BENCH_placement.json``).  The job-graph executor drains its ready
+(``compress`` costs about three times a mid-size program at every
+stage).  The job-graph executor drains its ready
 frontier longest-estimated-first and weights the critical path with
 these estimates, so the expensive work starts immediately and the
 cheap jobs fill the remaining slots.
 
 Priors come from two sources, best first:
 
-* **Benchmark history** — ``BENCH_placement.json`` (per-program
-  placement seconds) and ``BENCH_dag.json`` (per-kind mean job seconds
-  from the last scheduler run), read from the working directory when
-  present.
+* **Benchmark history** — ``BENCH_dag.json`` (per-kind mean job
+  seconds from the last scheduler run), read from the working directory
+  when present; it replaces the static per-stage base seconds.
 * **Static weights** — relative per-program and per-stage factors
-  measured on the reference machine, used when no history exists.
+  measured on the reference machine.
 
 Estimates only order dispatch and weight the critical path; a wrong
 prior costs a little wall-clock, never correctness.
@@ -47,11 +46,10 @@ PROGRAM_WEIGHT = {
     "deltablue": 0.6,
 }
 
-#: History files consulted (working-directory relative).
-PLACEMENT_HISTORY = "BENCH_placement.json"
+#: History file consulted (working-directory relative).
 DAG_HISTORY = "BENCH_dag.json"
 
-_history_cache: dict | None = None
+_history_cache: dict[str, float] | None = None
 
 
 def refresh_history() -> None:
@@ -60,27 +58,16 @@ def refresh_history() -> None:
     _history_cache = None
 
 
-def _load_history() -> dict:
-    """Benchmark-derived priors: per-program weights, per-kind seconds."""
+def _load_history() -> dict[str, float]:
+    """Benchmark-derived priors: mean job seconds per stage kind."""
     global _history_cache
     if _history_cache is not None:
         return _history_cache
-    history: dict = {"program_weight": {}, "kind_seconds": {}}
-    try:
-        with open(PLACEMENT_HISTORY) as handle:
-            per_program = json.load(handle)["arms"]["array"]["per_program_s"]
-        mean = sum(per_program.values()) / max(1, len(per_program))
-        if mean > 0:
-            history["program_weight"] = {
-                name: max(0.1, seconds / mean)
-                for name, seconds in per_program.items()
-            }
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        pass
+    history: dict[str, float] = {}
     try:
         with open(DAG_HISTORY) as handle:
             kinds = json.load(handle)["job_seconds_by_kind"]
-        history["kind_seconds"] = {
+        history = {
             kind: float(seconds)
             for kind, seconds in kinds.items()
             if isinstance(seconds, (int, float)) and seconds > 0
@@ -95,17 +82,12 @@ def program_weight(workload: str | None) -> float:
     """Relative expense of one program (1.0 for an unknown name)."""
     if not workload:
         return 1.0
-    history = _load_history()
-    weight = history["program_weight"].get(workload)
-    if weight is not None:
-        return weight
     return PROGRAM_WEIGHT.get(workload, 1.0)
 
 
 def job_cost(kind: str, workload: str | None = None) -> float:
     """Estimated seconds for one (stage kind, program) job."""
-    history = _load_history()
-    base = history["kind_seconds"].get(kind)
+    base = _load_history().get(kind)
     if base is None:
         base = STAGE_BASE.get(kind, 0.05)
     return base * program_weight(workload)

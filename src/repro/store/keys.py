@@ -10,7 +10,7 @@ those inputs:
 * the **cache geometry** — always the explicit ``(size, line_size,
   associativity)`` triple, never the config object itself (mirroring
   :func:`repro.experiments.common._config_key`);
-* the **stage parameters** — profiler knobs, placer engine, resolver
+* the **stage parameters** — profiler knobs, placer options, resolver
   policy, classification flags;
 * the **code-version salt** — a digest over the package's own source,
   so any code change invalidates every prior entry wholesale.

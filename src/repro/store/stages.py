@@ -95,7 +95,6 @@ def _placement_fields(
     fingerprint: str,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     params: dict,
     cost_model: str = "direct",
 ) -> dict:
@@ -103,7 +102,6 @@ def _placement_fields(
         "trace": fingerprint,
         "cache": config_fields(config),
         "place_heap": bool(place_heap),
-        "engine": engine,
         "params": params,
     }
     # Only non-default cost models enter the key, so every placement
@@ -212,14 +210,13 @@ def cached_placement(
     trace,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     params: dict,
     compute: Callable,
     cost_model: str = "direct",
 ):
     """Placement stage: the CCDP map for one (trace, geometry, placer)."""
     fields = _placement_fields(
-        trace_fingerprint(trace), config, place_heap, engine, params, cost_model
+        trace_fingerprint(trace), config, place_heap, params, cost_model
     )
     return store.get_or_compute(
         KIND_PLACEMENT,
@@ -330,7 +327,6 @@ def try_load_placement_pair(
     train_input: str,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     profiler_kwargs: dict | None = None,
     cost_model: str = "direct",
 ):
@@ -350,9 +346,7 @@ def try_load_placement_pair(
     placement = _load(
         store,
         KIND_PLACEMENT,
-        _placement_fields(
-            fingerprint, config, place_heap, engine, params, cost_model
-        ),
+        _placement_fields(fingerprint, config, place_heap, params, cost_model),
         placement_from_dict,
     )
     if placement is None:
@@ -366,7 +360,6 @@ def try_load_placement(
     train_input: str,
     config: CacheConfig | None,
     place_heap: bool,
-    engine: str,
     profiler_kwargs: dict | None = None,
     cost_model: str = "direct",
 ):
@@ -384,9 +377,7 @@ def try_load_placement(
     return _load(
         store,
         KIND_PLACEMENT,
-        _placement_fields(
-            fingerprint, config, place_heap, engine, params, cost_model
-        ),
+        _placement_fields(fingerprint, config, place_heap, params, cost_model),
         placement_from_dict,
     )
 
@@ -419,7 +410,6 @@ def checkpoint_coverage(
     test_input: str | None = None,
     config: CacheConfig | None = None,
     place_heap: bool | None = None,
-    engine: str = "array",
     profiler_kwargs: dict | None = None,
     classify: bool = False,
     track_pages: bool = False,
@@ -444,7 +434,6 @@ def checkpoint_coverage(
             test_input,
             config,
             place_heap,
-            engine,
             profiler_kwargs,
             classify,
             track_pages,
@@ -458,7 +447,6 @@ def _checkpoint_coverage(
     test_input: str | None,
     config: CacheConfig | None,
     place_heap: bool | None,
-    engine: str,
     profiler_kwargs: dict | None,
     classify: bool,
     track_pages: bool,
@@ -491,7 +479,7 @@ def _checkpoint_coverage(
     placement = _load(
         store,
         KIND_PLACEMENT,
-        _placement_fields(train_print, config, resolved_heap, engine, params),
+        _placement_fields(train_print, config, resolved_heap, params),
         placement_from_dict,
     )
     coverage["placement"] = placement is not None
@@ -536,7 +524,6 @@ def try_load_experiment(
     classify: bool,
     track_pages: bool,
     place_heap: bool | None = None,
-    placement_engine: str = "array",
     cost_model: str = "direct",
 ):
     """Reassemble a full ExperimentResult from the store, or None.
@@ -555,7 +542,6 @@ def try_load_experiment(
         train_input,
         config,
         resolved_heap,
-        placement_engine,
         cost_model=cost_model,
     )
     if pair is None:

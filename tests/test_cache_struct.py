@@ -1,20 +1,24 @@
-"""Unit + property tests for chunk/line mapping and the conflict-cost scan."""
+"""Unit + property tests for chunk/line mapping and the conflict-cost scan.
+
+The dict-based ``CACHE`` structure and Figure 2 scan under test here are
+the scalar oracle (:mod:`tests.oracles`) the product placer is checked
+against, so they are pinned against brute force directly.
+"""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.config import CacheConfig
-from repro.core.cache_struct import (
-    CacheImage,
-    TRGIndex,
-    active_chunks_by_entity,
-    build_adjacency,
-    chunk_line_span,
-    conflict_cost_scan,
-)
+from repro.core.cache_struct import TRGIndex, chunk_line_span
 from repro.profiling.profile_data import Entity, Profile
 from repro.trace.events import Category
+from tests.oracles import (
+    CacheImage,
+    active_chunks_by_entity,
+    build_adjacency,
+    conflict_cost_scan,
+)
 
 CONFIG = CacheConfig(1024, 32, 1)  # 32 lines
 

@@ -1,12 +1,17 @@
-"""Unit tests for compound nodes and the Phase 6 merge (Figure 2)."""
+"""Unit tests for compound nodes and the Phase 6 merge (Figure 2).
+
+The Figure 2 rules are pinned on the scalar oracle merger
+(:class:`tests.oracles.CompoundMerger`) and, for the tie-breaking rules,
+on the product's :class:`ArrayCompoundMerger` side by side.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.core.cache_struct import CacheImage, TRGIndex, chunk_line_span
-from repro.core.compound import CompoundMerger, CompoundNode
+from repro.core.cache_struct import TRGIndex, chunk_line_span
+from repro.core.compound import CompoundNode
 from repro.core.placement_engine import (
     FIXED,
     ArrayCompoundMerger,
@@ -14,6 +19,7 @@ from repro.core.placement_engine import (
 )
 from repro.profiling.profile_data import Entity, Profile
 from repro.trace.events import Category
+from tests.oracles import CacheImage, CompoundMerger
 
 CONFIG = CacheConfig(1024, 32, 1)  # 32 lines
 
@@ -122,11 +128,11 @@ class TestMerge:
 
 
 def build_merger(kind, node_offsets, trg=None, sizes=None, fixed=None):
-    """Build equivalent mergers under either placement engine.
+    """Build equivalent mergers: the scalar oracle or the product.
 
     Args:
-        kind: ``"scalar"`` (:class:`CompoundMerger`) or ``"array"``
-            (:class:`ArrayCompoundMerger`).
+        kind: ``"scalar"`` (the oracle :class:`CompoundMerger`) or
+            ``"array"`` (the product :class:`ArrayCompoundMerger`).
         node_offsets: node id -> {entity id -> relative byte offset}.
         trg: ((eid, chunk), (eid, chunk)) -> weight edges.
         sizes: entity id -> placement size (node entities).

@@ -49,23 +49,16 @@ class TestCostPriors:
     def test_history_overrides_static_weights(self, tmp_path):
         import json
 
-        (tmp_path / costs.PLACEMENT_HISTORY).write_text(
-            json.dumps(
-                {
-                    "arms": {
-                        "array": {
-                            "per_program_s": {
-                                "deltablue": 9.0,
-                                "compress": 0.3,
-                            }
-                        }
-                    }
-                }
-            )
+        assert costs.job_cost("place", "espresso") < costs.job_cost(
+            "profile", "espresso"
+        )
+        (tmp_path / costs.DAG_HISTORY).write_text(
+            json.dumps({"job_seconds_by_kind": {"place": 9.0, "profile": 0.3}})
         )
         costs.refresh_history()
-        assert costs.program_weight("deltablue") > costs.program_weight(
-            "compress"
+        assert costs.job_cost("place", "espresso") == 9.0
+        assert costs.job_cost("place", "espresso") > costs.job_cost(
+            "profile", "espresso"
         )
 
 

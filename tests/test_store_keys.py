@@ -2,7 +2,7 @@
 
 The store's correctness hinges on its key schema: two runs with the
 same inputs must land on the same digest (warm hits), and any change to
-an input that can change the output — cache geometry, placer engine,
+an input that can change the output — cache geometry, placer options,
 trace content, policy parameters — must land on a *different* digest
 (no stale aliasing).  These tests pin both directions.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.core.cost_model import COST_MODEL_NAMES
 from repro.runtime.resolvers import CCDPResolver, NaturalResolver, RandomResolver
 from repro.store import ArtifactStore, use_store
 from repro.store import stages
@@ -172,18 +173,28 @@ class TestStageRoundTrip:
             )
         assert store.counters.hits == hits_before  # nothing aliased
 
-    def test_placement_engine_distinguishes(self, toy_trace, small_cache):
+    def test_placer_config_distinguishes(self, toy_trace, small_cache):
         fingerprint = trace_fingerprint(toy_trace)
         params = stages.profile_params()
-        array_fields = stages._placement_fields(
-            fingerprint, small_cache, True, "array", params
-        )
-        scalar_fields = stages._placement_fields(
-            fingerprint, small_cache, True, "scalar", params
-        )
-        assert store_key(stages.KIND_PLACEMENT, array_fields) != store_key(
-            stages.KIND_PLACEMENT, scalar_fields
-        )
+
+        def key(place_heap=True, cost_model="direct"):
+            fields = stages._placement_fields(
+                fingerprint, small_cache, place_heap, params, cost_model
+            )
+            return store_key(stages.KIND_PLACEMENT, fields)
+
+        default = key()
+        # The default cost model stays out of the fields, so placements
+        # recorded before cost models existed keep their digest.
+        fields = stages._placement_fields(fingerprint, small_cache, True, params)
+        assert "cost_model" not in fields
+        assert stages._placement_fields(
+            fingerprint, small_cache, True, params, "direct"
+        ) == fields
+        assert key(place_heap=False) != default
+        variants = {key(cost_model=name) for name in COST_MODEL_NAMES}
+        assert len(variants) == len(COST_MODEL_NAMES)
+        assert default in variants
 
     def test_trace_content_distinguishes(self, toy_workload, small_cache):
         train = record_trace(toy_workload, toy_workload.train_input)

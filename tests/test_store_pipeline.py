@@ -69,13 +69,6 @@ class TestWarmExperiment:
             monkeypatch.setattr(type(workload), "run", boom)
             run_experiment(workload)
 
-    def test_scalar_engine_bypasses_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        with use_store(store):
-            run_experiment(make_workload("compress"), engine="scalar")
-        assert store.counters.hits == 0
-        assert store.counters.writes == 0
-
 
 class TestWarmFanOut:
     def test_warm_rerun_serves_every_shard_from_store(self, tmp_path):
