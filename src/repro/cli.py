@@ -764,6 +764,11 @@ def cmd_cache(args) -> int:
                 f"  {'trace-data':<12} {summary.trace_files:>6}  "
                 f"{summary.trace_bytes:>12} bytes (memmapped trace columns)"
             )
+        if summary.ops_files:
+            print(
+                f"  {'trace-ops':<12} {summary.ops_files:>6}  "
+                f"{summary.ops_bytes:>12} bytes (trace ops, canonical JSON)"
+            )
     elif args.action == "gc":
         removed, bytes_removed = store.gc(
             max_bytes=args.max_bytes, max_age_days=args.max_age_days

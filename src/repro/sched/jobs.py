@@ -265,9 +265,15 @@ def _trace_data_present(store: ArtifactStore, fingerprint: str) -> bool:
     )
     if not isinstance(payload, dict):
         return False
-    path = store_traces.trace_data_path(store, fingerprint)
+    files = (
+        (store_traces.trace_data_path(store, fingerprint), "data_bytes"),
+        (store_traces.trace_ops_path(store, fingerprint), "ops_bytes"),
+    )
     try:
-        return path.stat().st_size == int(payload.get("data_bytes", -1))
+        return all(
+            path.stat().st_size == int(payload.get(size_key, -1))
+            for path, size_key in files
+        )
     except (OSError, TypeError, ValueError):
         return False
 

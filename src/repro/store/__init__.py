@@ -43,6 +43,7 @@ from .traces import (
     remember_and_save,
     save_trace,
     trace_data_path,
+    trace_ops_path,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "remember_and_save",
     "save_trace",
     "trace_data_path",
+    "trace_ops_path",
     "canonical_json",
     "code_salt",
     "config_fields",

@@ -6,7 +6,8 @@ entry is keyed by a SHA-256 digest over a *canonical JSON* rendering of
 those inputs:
 
 * the **trace fingerprint** — a digest of the recorded access columns
-  and lifetime ops, standing in for "which workload run";
+  and lifetime ops, standing in for "which workload run" (see
+  :func:`fingerprint_with_ops`);
 * the **cache geometry** — always the explicit ``(size, line_size,
   associativity)`` triple, never the config object itself (mirroring
   :func:`repro.experiments.common._config_key`);
@@ -18,21 +19,31 @@ those inputs:
 Canonical JSON sorts keys, forbids NaN, and coerces numpy scalars to
 their Python equivalents, so a key built from freshly computed values and
 one built from round-tripped JSON are byte-identical.
+
+A trace's ops are the one input too large to render through
+:func:`canonical_json` value by value: :func:`ops_json` writes the same
+canonical text directly from the recorder's op tuples, and that single
+encoding serves both the fingerprint and the trace's ``.ops`` file in
+the store.  ``tests/goldens/trace_fingerprints.json`` pins the result
+for the paper's traces.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
 
 from ..cache.config import CacheConfig
+from ..trace.buffer import _OP_ALLOC, _OP_OBJECT
 
 #: Bumped on breaking store-layout changes; folded into every salt.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: Environment override for the code-version salt (tests, pinned runs).
 SALT_ENV = "REPRO_CACHE_SALT"
@@ -116,60 +127,107 @@ def store_key(kind: str, fields: dict) -> str:
 # -- trace fingerprints -------------------------------------------------------
 
 
-def _encode_op(position: int, kind: int, payload) -> list:
-    """JSON-safe rendering of one recorded lifetime/compute op."""
-    from ..trace.events import ObjectInfo
+def _info_text(info) -> str:
+    """Canonical JSON of one :class:`~repro.trace.events.ObjectInfo`.
 
-    if isinstance(payload, ObjectInfo):
-        payload = [
-            payload.obj_id,
-            int(payload.category),
-            payload.size,
-            payload.symbol,
-            payload.decl_index,
-            payload.alloc_name,
-        ]
-    elif isinstance(payload, tuple):  # alloc: (ObjectInfo, return_addresses)
-        info, return_addresses = payload
-        payload = [
-            [
-                info.obj_id,
-                int(info.category),
-                info.size,
-                info.symbol,
-                info.decl_index,
-                info.alloc_name,
-            ],
-            list(return_addresses),
-        ]
-    return [position, kind, payload]
+    A plain-string ``symbol`` goes through the C string quoter and an
+    int ``alloc_name`` is written as is; anything else (``None``) goes
+    through :func:`json.dumps`.
+    """
+    symbol = info.symbol
+    alloc_name = info.alloc_name
+    return (
+        f"[{info.obj_id},{int(info.category)},{info.size},"
+        f"{_quote(symbol) if type(symbol) is str else json.dumps(symbol)},"
+        f"{info.decl_index},"
+        f"{alloc_name if type(alloc_name) is int else json.dumps(alloc_name)}]"
+    )
+
+
+def ops_json(trace) -> bytes:
+    """The canonical JSON document of a trace's ops and counters.
+
+    Byte-identical to the UTF-8 encoding of ``canonical_json`` of
+    ``{"compute_instructions", "ended", "max_stack_depth", "ops"}`` with
+    each op rendered as ``[position, kind, payload]`` (an object's
+    payload as its six fields; an allocation's as ``[fields,
+    return_addresses]``), but written directly: integer payloads —
+    compute batches, frees and stack depths, the bulk of every trace —
+    go through one f-string each, and only an object's string/``None``
+    fields need quoting.  These bytes are what :func:`trace_fingerprint`
+    hashes and what the store persists verbatim as a trace's ``.ops``
+    file.
+    """
+    # Stream into one buffer rather than joining a list: ~10^5 live
+    # short strings per trace fragment the small-object arenas and
+    # raise the process's peak RSS.
+    out = io.StringIO()
+    write = out.write
+    write(
+        f'{{"compute_instructions":{trace.compute_instructions},'
+        f'"ended":{"true" if trace.ended else "false"},'
+        f'"max_stack_depth":{trace.max_stack_depth},'
+        f'"ops":['
+    )
+    separator = ""
+    for position, kind, payload in trace.ops:
+        if kind == _OP_OBJECT:
+            write(f"{separator}[{position},{kind},{_info_text(payload)}]")
+        elif kind == _OP_ALLOC:
+            info, return_addresses = payload
+            addresses = ",".join(map(str, return_addresses))
+            write(f"{separator}[{position},{kind},[{_info_text(info)},[{addresses}]]]")
+        else:
+            write(f"{separator}[{position},{kind},{payload}]")
+        separator = ","
+    write("]}")
+    return out.getvalue().encode("utf-8")
+
+
+def ops_member(document: bytes) -> bytes:
+    """The ``"ops"`` array of an :func:`ops_json` document, as bytes.
+
+    ``"ops"`` is the document's last member and no member before it
+    holds a string, so the array is everything after its key up to the
+    closing brace.
+    """
+    return document[document.index(b'"ops":') + len(b'"ops":') : -1]
+
+
+def fingerprint_with_ops(trace) -> tuple[str, bytes]:
+    """``(fingerprint, ops document)`` of one trace from a single encoding.
+
+    The fingerprint is SHA-256 over the five access columns
+    byte-for-byte followed by :func:`ops_json`, so two runs fingerprint
+    equal exactly when a consumer of the recording could not tell them
+    apart.  The fingerprint is memoized on the recorder; the document
+    is not (it runs to megabytes per trace), so callers that persist it
+    take it from here.
+    """
+    hasher = hashlib.sha256()
+    for column in trace.columns():
+        hasher.update(np.ascontiguousarray(column).tobytes())
+    document = ops_json(trace)
+    hasher.update(document)
+    fingerprint = hasher.hexdigest()
+    trace._fingerprint = (len(trace), fingerprint)
+    return fingerprint, document
+
+
+def memoized_fingerprint(trace) -> str | None:
+    """The fingerprint already computed for ``trace``'s events, if any."""
+    cached = getattr(trace, "_fingerprint", None)
+    if cached is not None and cached[0] == len(trace):
+        return cached[1]
+    return None
 
 
 def trace_fingerprint(trace) -> str:
     """Content digest of one recorded trace (columns + lifetime ops).
 
-    The fingerprint covers the five access columns byte-for-byte, every
-    recorded op (including compute batches), and the end marker, so two
-    runs fingerprint equal exactly when a consumer of the recording
-    could not tell them apart.  Memoized on the recorder.
+    See :func:`fingerprint_with_ops`.  Memoized on the recorder.
     """
-    cached = getattr(trace, "_fingerprint", None)
-    if cached is not None and cached[0] == len(trace):
-        return cached[1]
-    hasher = hashlib.sha256()
-    for column in trace.columns():
-        hasher.update(np.ascontiguousarray(column).tobytes())
-    ops = [_encode_op(*op) for op in trace.ops]
-    hasher.update(
-        canonical_json(
-            {
-                "ops": ops,
-                "compute_instructions": trace.compute_instructions,
-                "max_stack_depth": trace.max_stack_depth,
-                "ended": trace.ended,
-            }
-        ).encode("utf-8")
-    )
-    fingerprint = hasher.hexdigest()
-    trace._fingerprint = (len(trace), fingerprint)
-    return fingerprint
+    cached = memoized_fingerprint(trace)
+    if cached is not None:
+        return cached
+    return fingerprint_with_ops(trace)[0]

@@ -169,18 +169,20 @@ def known_fingerprint(
 def remember_trace(
     store: ArtifactStore, workload: str, input_name: str, trace
 ) -> str:
-    """Record (or refresh) the trace-meta entry; returns the fingerprint."""
+    """Record (or refresh) the trace-meta entry; returns the fingerprint.
+
+    Skips even the read when this process already wrote or validated
+    the same entry (:meth:`ArtifactStore.known`).
+    """
     fingerprint = trace_fingerprint(trace)
     fields = _trace_meta_fields(workload, input_name)
     digest = store.key(KIND_TRACE_META, fields)
-    payload = store.get(KIND_TRACE_META, digest)
-    if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
-        store.put(
-            KIND_TRACE_META,
-            digest,
-            fields,
-            {"fingerprint": fingerprint, "events": trace.events},
-        )
+    payload = {"fingerprint": fingerprint, "events": trace.events}
+    if store.known(KIND_TRACE_META, digest) == digest_json(payload):
+        return fingerprint
+    existing = store.get(KIND_TRACE_META, digest)
+    if not isinstance(existing, dict) or existing.get("fingerprint") != fingerprint:
+        store.put(KIND_TRACE_META, digest, fields, payload)
     return fingerprint
 
 

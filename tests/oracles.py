@@ -16,7 +16,10 @@ out of the product and sharing none of the vectorized code it checks:
   scan and its Phase 6 merger factory swapped for the dict-based ones;
 * :func:`scalar_measure`, a live per-event run of a workload through
   :class:`~repro.runtime.replay.ReplaySink` and the scalar
-  :class:`~repro.cache.simulator.CacheSimulator`.
+  :class:`~repro.cache.simulator.CacheSimulator`;
+* :func:`encode_op` and :func:`oracle_ops_text`, the per-op JSON
+  rendering of a trace's ops that the store's direct writer
+  (:func:`~repro.store.keys.ops_json`) must reproduce byte for byte.
 
 The parity suites and the differential fuzz compare the product against
 these oracles.
@@ -37,7 +40,8 @@ from repro.memory.static_layout import layout_sequential
 from repro.profiling.profile_data import STACK_ENTITY_ID, Profile
 from repro.runtime.driver import MeasureResult
 from repro.runtime.replay import ReplaySink
-from repro.trace.events import Category
+from repro.store.keys import canonical_json
+from repro.trace.events import Category, ObjectInfo
 
 # -- the CACHE structure and the Figure 2 scan --------------------------------
 
@@ -408,3 +412,45 @@ def scalar_measure(
     workload.run(ReplaySink(resolver, cache, pages), input_name)
     paging = PagingSummary.from_tracker(pages) if pages else None
     return MeasureResult(cache=cache.stats, paging=paging)
+
+
+# -- the per-op trace encoding ------------------------------------------------
+
+
+def encode_op(position: int, kind: int, payload) -> list:
+    """JSON-safe rendering of one recorded lifetime/compute op."""
+    if isinstance(payload, ObjectInfo):
+        payload = [
+            payload.obj_id,
+            int(payload.category),
+            payload.size,
+            payload.symbol,
+            payload.decl_index,
+            payload.alloc_name,
+        ]
+    elif isinstance(payload, tuple):  # alloc: (ObjectInfo, return_addresses)
+        info, return_addresses = payload
+        payload = [
+            [
+                info.obj_id,
+                int(info.category),
+                info.size,
+                info.symbol,
+                info.decl_index,
+                info.alloc_name,
+            ],
+            list(return_addresses),
+        ]
+    return [position, kind, payload]
+
+
+def oracle_ops_text(trace) -> str:
+    """Canonical JSON of a trace's ops and counters, one op at a time."""
+    return canonical_json(
+        {
+            "ops": [encode_op(*op) for op in trace.ops],
+            "compute_instructions": trace.compute_instructions,
+            "max_stack_depth": trace.max_stack_depth,
+            "ended": trace.ended,
+        }
+    )

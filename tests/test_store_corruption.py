@@ -189,3 +189,206 @@ class TestGcAndClear:
         put_entry(store, fields={"trace": "b"})
         assert store.clear() == 2
         assert store.stats().entries == 0
+
+
+class TestEnvelopeBytes:
+    """The envelope digests the payload bytes exactly as written."""
+
+    def test_whitespace_reserialized_payload_is_corrupt(self, store):
+        digest, path = put_entry(store, {"value": 1, "items": [1, 2]})
+        head, _sep, _body = path.read_bytes().rpartition(b'"payload":')
+        # Same payload value, different bytes: spaces after separators.
+        path.write_bytes(head + b'"payload":{"items": [1, 2], "value": 1}}')
+        assert json.loads(path.read_text())["payload"] == {
+            "value": 1,
+            "items": [1, 2],
+        }
+        assert store.get("profile", digest) is None
+        assert store.counters.corrupt == 1
+        assert not path.exists()
+
+    def test_format_1_envelope_is_stale(self, store):
+        from repro.store.keys import code_salt, digest_json
+
+        fields = {"trace": "abc"}
+        digest = store.key("profile", fields)
+        path = store.entry_path("profile", digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = {"value": 1}
+        path.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "kind": "profile",
+                    "salt": code_salt(),
+                    "fields": fields,
+                    "payload_sha256": digest_json(payload),
+                    "payload": payload,
+                }
+            )
+        )
+        summary = store.stats()
+        assert (summary.entries, summary.stale) == (1, 1)
+        assert store.get("profile", digest) is None
+        assert store.counters.corrupt == 1
+        assert not path.exists()
+
+    def test_gc_removes_format_1_envelope(self, store):
+        _digest, path = put_entry(store)
+        envelope = json.loads(path.read_text())
+        envelope["format"] = 1
+        path.write_text(json.dumps(envelope))
+        removed, _bytes = store.gc()
+        assert removed == 1
+        assert not path.exists()
+
+
+class TestTraceOpsFile:
+    """A trace's ``.ops`` file degrades exactly like its column file."""
+
+    @pytest.fixture
+    def saved(self, store, toy_workload):
+        from repro.store.traces import remember_and_save
+        from repro.trace.buffer import record_trace
+
+        trace = record_trace(toy_workload, toy_workload.train_input)
+        fingerprint = remember_and_save(store, "toyprog", "train", trace)
+        return trace, fingerprint
+
+    def _heals(self, store, saved, toy_workload, damage):
+        from repro.store.traces import (
+            load_trace_by_fingerprint,
+            remember_and_save,
+            trace_data_path,
+            trace_ops_path,
+        )
+        from repro.trace.buffer import record_trace
+
+        _trace, fingerprint = saved
+        ops_path = trace_ops_path(store, fingerprint)
+        data_path = trace_data_path(store, fingerprint)
+        damage(ops_path)
+        # A fresh handle, as the next process would open the store.
+        reader = ArtifactStore(store.root)
+        assert load_trace_by_fingerprint(reader, fingerprint) is None
+        assert reader.counters.corrupt == 1
+        assert not ops_path.exists() and not data_path.exists()
+        fields = {"fingerprint": fingerprint}
+        entry = reader.entry_path("trace", reader.key("trace", fields))
+        assert not entry.exists()
+        # Recompute and rewrite: the caller re-records and re-saves.
+        trace = record_trace(toy_workload, toy_workload.train_input)
+        assert remember_and_save(reader, "toyprog", "train", trace) == fingerprint
+        assert ops_path.exists() and data_path.exists()
+        loaded = load_trace_by_fingerprint(ArtifactStore(store.root), fingerprint)
+        assert loaded is not None
+        assert loaded.ops == trace.ops
+        loaded.close()
+
+    def test_truncated_ops_file_recomputes(self, store, saved, toy_workload):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+        self._heals(store, saved, toy_workload, truncate)
+
+    def test_tampered_ops_file_recomputes(self, store, saved, toy_workload):
+        def tamper(path):
+            raw = bytearray(path.read_bytes())
+            at = raw.index(b'"max_stack_depth":') + len(b'"max_stack_depth":')
+            raw[at] = ord("9") if raw[at] != ord("9") else ord("8")
+            path.write_bytes(bytes(raw))  # same size, different digest
+
+        self._heals(store, saved, toy_workload, tamper)
+
+    def test_missing_ops_file_recomputes(self, store, saved, toy_workload):
+        self._heals(store, saved, toy_workload, lambda path: path.unlink())
+
+    def test_gc_reclaims_orphan_ops_file(self, store, saved):
+        from repro.store.traces import trace_ops_path
+
+        _trace, fingerprint = saved
+        orphan = trace_ops_path(store, "ee" + "0" * 62)
+        orphan.parent.mkdir(parents=True, exist_ok=True)
+        orphan.write_bytes(b"{}")
+        removed, removed_bytes = store.gc()
+        assert (removed, removed_bytes) == (1, 2)
+        assert not orphan.exists()
+        assert trace_ops_path(store, fingerprint).exists()
+
+    def test_clear_removes_ops_files(self, store, saved):
+        from repro.store.traces import trace_ops_path
+
+        _trace, fingerprint = saved
+        store.clear()
+        assert not trace_ops_path(store, fingerprint).exists()
+
+
+class TestConcurrentWriters:
+    """Two threads of one process writing the same entry must not collide."""
+
+    def test_threads_put_one_digest(self, store):
+        import sys
+        import threading
+
+        fields = {"trace": "shared"}
+        digest = store.key("profile", fields)
+        writers = 4  # more writers than this suite's CI cores
+        barrier = threading.Barrier(writers)
+        errors = []
+
+        def writer(tag):
+            barrier.wait()
+            for index in range(200):
+                try:
+                    store.put("profile", digest, fields, {"writer": tag, "i": index})
+                except Exception as exc:
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(tag,)) for tag in range(writers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.get("profile", digest)["i"] == 199
+        assert list(store.entry_path("profile", digest).parent.glob(".*.tmp")) == []
+
+    def test_two_threads_save_one_trace(self, tmp_path, toy_workload):
+        import threading
+
+        from repro.store.keys import trace_fingerprint
+        from repro.store.traces import load_trace_by_fingerprint, save_trace
+        from repro.trace.buffer import record_trace
+
+        trace = record_trace(toy_workload, toy_workload.train_input)
+        fingerprint = trace_fingerprint(trace)
+        for round_index in range(10):
+            root = tmp_path / f"store-{round_index}"
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def writer():
+                barrier.wait()
+                try:
+                    save_trace(ArtifactStore(root), trace)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=writer) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            loaded = load_trace_by_fingerprint(ArtifactStore(root), fingerprint)
+            assert loaded is not None
+            loaded.close()

@@ -9,7 +9,14 @@ trace content, policy parameters — must land on a *different* digest
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from tests.oracles import oracle_ops_text
 
 from repro.cache.config import CacheConfig
 from repro.core.cost_model import COST_MODEL_NAMES
@@ -20,10 +27,16 @@ from repro.store.keys import (
     canonical_json,
     code_salt,
     config_fields,
+    fingerprint_with_ops,
+    ops_json,
     store_key,
     trace_fingerprint,
 )
 from repro.trace.buffer import record_trace
+from repro.trace.events import Category, ObjectInfo
+from repro.workloads import make_workload, workload_names
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 @pytest.fixture
@@ -93,6 +106,70 @@ class TestTraceFingerprint:
 
     def test_fingerprint_memoized(self, toy_trace):
         assert trace_fingerprint(toy_trace) is trace_fingerprint(toy_trace)
+
+
+# -- the direct ops writer against the per-op oracle --------------------------
+
+_ints = st.integers(min_value=-(2**40), max_value=2**40)
+_object_infos = st.builds(
+    ObjectInfo,
+    obj_id=_ints,
+    category=st.sampled_from(list(Category)),
+    size=_ints,
+    symbol=st.one_of(st.none(), st.text()),
+    decl_index=_ints,
+    alloc_name=st.one_of(st.none(), _ints),
+)
+_ops = st.one_of(
+    st.tuples(_ints, st.just(0), _object_infos),
+    st.tuples(
+        _ints,
+        st.just(1),
+        st.tuples(_object_infos, st.lists(_ints, max_size=6).map(tuple)),
+    ),
+    st.tuples(_ints, st.sampled_from([2, 3, 4]), _ints),
+)
+_traces = st.builds(
+    SimpleNamespace,
+    ops=st.lists(_ops, max_size=40),
+    compute_instructions=_ints,
+    max_stack_depth=_ints,
+    ended=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=_traces)
+def test_ops_json_equals_per_op_oracle(trace):
+    """Every op kind, non-ASCII and ``None`` names, empty return
+    addresses and unended traces render byte-identically."""
+    assert ops_json(trace) == oracle_ops_text(trace).encode()
+
+
+def test_paper_trace_fingerprints_match_golden(request):
+    """The 18 paper traces (train and test of each program) keep the
+    fingerprints they had under the per-op encoder, so every store key
+    built from them is unchanged.  Regenerate deliberately with::
+
+        PYTHONPATH=src python -m pytest tests/test_store_keys.py --update-goldens
+    """
+    snapshot = {}
+    for name in workload_names():
+        workload = make_workload(name)
+        for input_name in (workload.train_input, workload.test_input):
+            trace = record_trace(workload, input_name)
+            fingerprint, document = fingerprint_with_ops(trace)
+            assert document == oracle_ops_text(trace).encode()
+            snapshot[f"{name}/{input_name}"] = fingerprint
+            trace.close()
+    path = GOLDEN_DIR / "trace_fingerprints.json"
+    if request.config.getoption("--update-goldens"):
+        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"rewrote golden {path.name}")
+    assert snapshot == json.loads(path.read_text()), (
+        "trace fingerprints drifted from their golden pin; every store key "
+        "built from them moves too"
+    )
 
 
 class TestResolverPolicy:
