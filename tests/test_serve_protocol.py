@@ -194,6 +194,67 @@ def test_upload_fingerprint_mismatch_gets_400(daemon, toy_workload):
     assert ServeClient(port=daemon.port).ready()
 
 
+def _first_op(ops: list, kind: int) -> list:
+    return next(op for op in ops if op[1] == kind)
+
+
+def _string_payload(ops: list) -> None:
+    _first_op(ops, 4)[2] = "1],[0,4,2"
+
+
+def _bool_obj_id(ops: list) -> None:
+    _first_op(ops, 0)[2][0] = True
+
+
+def _dict_symbol(ops: list) -> None:
+    _first_op(ops, 0)[2][3] = {"a": 1}
+
+
+def _string_kind(ops: list) -> None:
+    _first_op(ops, 4)[1] = "4"
+
+
+@pytest.mark.parametrize(
+    "poison", [_string_payload, _bool_obj_id, _dict_symbol, _string_kind]
+)
+def test_upload_with_mistyped_ops_gets_400(daemon, toy_workload, poison):
+    """Ops whose fields are not the recorder's own types are refused.
+
+    The store writes integer fields verbatim into the fingerprinted ops
+    text, so a string payload such as ``"1],[0,4,2"`` would otherwise
+    splice two integer ops into the document (another list's
+    fingerprint) and a ``bool`` or ``dict`` would persist invalid JSON.
+    """
+    trace = record_trace(toy_workload, "train")
+    try:
+        body = protocol.pack_trace_upload(trace)
+    finally:
+        trace.close()
+    header = struct.Struct("<4sI")
+    _magic, meta_len = header.unpack_from(body)
+    meta = json.loads(body[header.size : header.size + meta_len])
+    del meta["fingerprint"]
+    poison(meta["ops"])
+    forged_meta = json.dumps(meta, sort_keys=True).encode()
+    forged = (
+        header.pack(protocol.UPLOAD_MAGIC, len(forged_meta))
+        + forged_meta
+        + body[header.size + meta_len :]
+    )
+    client = ServeClient(port=daemon.port)
+    status, payload = client.request(
+        "POST",
+        "/v1/traces?workload=toyprog&input=train",
+        body=forged,
+        content_type="application/octet-stream",
+    )
+    assert status == 400
+    assert "malformed" in payload["error"]
+    traces = daemon.store.root / "traces"
+    assert not traces.exists() or list(traces.rglob("*.ops")) == []
+    assert ServeClient(port=daemon.port).ready()
+
+
 def test_queue_full_answers_429(daemon):
     client = ServeClient(port=daemon.port)
     # One sleep occupies the dispatcher, two more fill the depth-2 queue;
